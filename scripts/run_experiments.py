@@ -3,9 +3,10 @@
 
 Families: discontinuous (half-step) or continuous (sinusoidal) initial
 error, each with and without friction.  Every family is swept over the gain
-presets mu in {0, 0.5, -0.5, 1, mixed}; each run writes l0.csv, l1.csv and
-rates.txt into <out>/<family>/mu_<label>/ plus error snapshots at 0, 90 and
-180 s, ready for plotting.
+presets mu in {0, 0.5, -0.5, 1, mixed}; each run writes the files of
+`gasnetsim observe` (l0.csv, l1.csv, an empty residuals.csv, rates.txt) into
+<out>/<family>/mu_<label>/ plus error snapshots at 0, 90 and 180 s, ready
+for plotting.
 
 Example:
     python scripts/run_experiments.py --out results --t-end 600
@@ -24,7 +25,7 @@ from gasnetsim import (
     parse_scenario_file,
     run_observer_pair,
 )
-from gasnetsim.cli import _write_series_csv, _write_snapshots
+from gasnetsim.cli import write_observe_outputs
 from gasnetsim.errors import ValidationError
 
 FAMILIES = {
@@ -58,7 +59,7 @@ def main(argv=None) -> int:
 
     net = parse_network_file(bundled_path("gaslib40_like.net"))
     out_root = Path(args.out)
-    summary = []
+    n_runs = 0
     for family in args.families.split(","):
         if family not in FAMILIES:
             print(f"unknown family {family!r}", file=sys.stderr)
@@ -78,35 +79,18 @@ def main(argv=None) -> int:
             )
             wall = time.perf_counter() - tic
             run_dir = out_root / family / f"mu_{label}"
-            run_dir.mkdir(parents=True, exist_ok=True)
-            series = result.series
-            _write_series_csv(
-                run_dir / "l0.csv", "t,l0",
-                zip(series.times.tolist(), series.l0.tolist()),
-            )
-            _write_series_csv(
-                run_dir / "l1.csv", "t,l1",
-                zip(series.times.tolist(), series.l1.tolist()),
-            )
-            _write_snapshots(run_dir, result.snapshots)
-            window = (0.25 * scn.t_end, 0.95 * scn.t_end)
+            write_observe_outputs(run_dir, result, scn.t_end, "")
             try:
-                rate, r2 = fit_decay_rate(series, window)
-                rate_txt = f"{rate:.6g} (r2={r2:.4f})"
-            except ValidationError as exc:
-                rate, rate_txt = None, f"n/a ({exc})"
-            sync = series.sync_time()
-            (run_dir / "rates.txt").write_text(
-                f"fit_window_s = [{window[0]:g}, {window[1]:g}]\n"
-                f"l0_decay_rate_per_s = {rate_txt}\n"
-                f"finite_time_sync_s = {sync if sync is not None else 'none'}\n"
-            )
-            summary.append((family, label, rate, sync, wall))
+                rate, _ = fit_decay_rate(result.series, (0.25 * scn.t_end, 0.95 * scn.t_end))
+            except ValidationError:
+                rate = None
+            sync = result.sync_time
+            n_runs += 1
             sync_txt = f"{sync:8.1f}" if sync is not None else "    none"
             rate_num = f"{rate:10.6f}" if rate is not None else "       n/a"
             print(f"{family:16s} mu={label:5s} rate={rate_num}/s sync={sync_txt}s [{wall:5.1f}s]")
 
-    print(f"\nwrote {len(summary)} runs under {out_root}/")
+    print(f"\nwrote {n_runs} runs under {out_root}/")
     return 0
 
 

@@ -3,99 +3,13 @@
 Semilinear invariant-space model on a pipe graph: upwind transport at the
 sound speed, implicit friction, algebraic junction coupling, and an observer
 system driven by nodal measurements whose error decays exponentially.
+
+The root exports what the sweep script and the README examples use; the
+rest of the API lives in the submodules listed in the README.
 """
 
-from .bounds import (
-    BoundInputs,
-    DecayCertificate,
-    WellposednessConstants,
-    c0_constant,
-    c1_constant,
-    decay_certificates,
-    upsilon0,
-    upsilon_factor,
-    wellposedness_constants,
-)
-from .diagnostics import (
-    LyapunovSeries,
-    RegularityTracker,
-    SnapshotFrame,
-    estimate_regularity_bounds,
-    fit_decay_rate,
-    lyapunov_l0,
-    lyapunov_l0_per_edge,
-    lyapunov_l1,
-    nodal_energy_residual,
-    state_energy,
-)
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    NumericalError,
-    ParseError,
-    ScheduleError,
-    ValidationError,
-)
-from .fileio import (
-    BAR,
-    BoundaryPoint,
-    InitialCondition,
-    ScenarioSpec,
-    bundled_path,
-    eval_boundary_schedule,
-    interp_schedule,
-    make_boundary_control,
-    parse_network,
-    parse_network_file,
-    parse_scenario,
-    parse_scenario_file,
-    serialize_network,
-)
-from .network import NetworkGraph, PipeSpec, junction_outflow, omega_v
-from .observer import (
-    CoupledState,
-    NodalTrace,
-    ObserverConfig,
-    diff_junction_outflow,
-    difference_state,
-    direct_diff_step,
-    measure_nodal,
-    observer_node_update,
-    step_coupled,
-)
-from .physics import (
-    AgaLaw,
-    GasState,
-    IsentropicLaw,
-    IsothermalLaw,
-    PressureLaw,
-    mach_number,
-    pressure_from_riemann,
-    quasilinear_eigenvalues,
-    riemann_from_state,
-    source_sigma,
-    state_from_riemann,
-)
-from .run import (
-    Assembled,
-    RunResult,
-    assemble,
-    default_dt,
-    run_difference_direct,
-    run_observer_pair,
-    run_truth,
-)
-from .solver import (
-    EdgeGrid,
-    SimState,
-    advect_step,
-    build_grids,
-    friction_root,
-    friction_root_shifted,
-    friction_step,
-    gather_node_inputs,
-    node_outputs,
-    step_system,
-)
+from .diagnostics import fit_decay_rate
+from .fileio import bundled_path, parse_network_file, parse_scenario_file
+from .run import run_observer_pair
 
 __version__ = "0.1.0"

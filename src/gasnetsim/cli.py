@@ -17,7 +17,7 @@ from .diagnostics import SnapshotFrame, fit_decay_rate
 from .errors import NumericalError, ValidationError
 from .fileio import BAR, parse_network_file, parse_scenario_file
 from .physics import pressure_from_riemann
-from .run import run_observer_pair, run_truth
+from .run import RunResult, run_observer_pair, run_truth
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -73,19 +73,10 @@ def _default_snapshot_times(scenario) -> List[float]:
     return [0.0, scenario.t_end / 2.0, scenario.t_end]
 
 
-def _cmd_observe(args) -> int:
-    graph, scenario = _load_inputs(args)
-    snap_times = (
-        _parse_times(args.snapshots) if args.snapshots else _default_snapshot_times(scenario)
-    )
-    result = run_observer_pair(
-        graph,
-        scenario,
-        record_l1=True,
-        residual_stride=args.residual_stride,
-        snapshot_times=snap_times,
-    )
-    out = Path(args.out)
+def write_observe_outputs(out: Path, result: RunResult, t_end: float, fit_window: str) -> None:
+    """Write l0.csv, l1.csv, residuals.csv, snapshots/ and rates.txt of one
+    observer run into `out`.  `fit_window` is the text of --fit-window;
+    empty means 0.25 T .. 0.95 T with T = `t_end`."""
     out.mkdir(parents=True, exist_ok=True)
     series = result.series
     _write_series_csv(out / "l0.csv", "t,l0", zip(series.times.tolist(), series.l0.tolist()))
@@ -96,13 +87,13 @@ def _cmd_observe(args) -> int:
     _write_snapshots(out, result.snapshots)
 
     lines = []
-    if args.fit_window:
-        parts = _parse_times(args.fit_window)
+    if fit_window:
+        parts = _parse_times(fit_window)
         if len(parts) != 2 or parts[0] >= parts[1]:
-            raise ValidationError(f"--fit-window needs 't0,t1' with t0 < t1, got {args.fit_window!r}")
+            raise ValidationError(f"--fit-window needs 't0,t1' with t0 < t1, got {fit_window!r}")
         window = (parts[0], parts[1])
     else:
-        window = (0.25 * scenario.t_end, 0.95 * scenario.t_end)
+        window = (0.25 * t_end, 0.95 * t_end)
     lines.append(f"fit_window_s = [{window[0]:g}, {window[1]:g}]")
     for label, use_l1 in (("l0", False), ("l1", True)):
         try:
@@ -118,6 +109,21 @@ def _cmd_observe(args) -> int:
     lines.append(f"m_tilde = {_fmt(result.m_tilde)}")
     lines.append(f"b_tilde = {_fmt(result.b_tilde)}")
     (out / "rates.txt").write_text("\n".join(lines) + "\n")
+
+
+def _cmd_observe(args) -> int:
+    graph, scenario = _load_inputs(args)
+    snap_times = (
+        _parse_times(args.snapshots) if args.snapshots else _default_snapshot_times(scenario)
+    )
+    result = run_observer_pair(
+        graph,
+        scenario,
+        record_l1=True,
+        residual_stride=args.residual_stride,
+        snapshot_times=snap_times,
+    )
+    write_observe_outputs(Path(args.out), result, scenario.t_end, args.fit_window)
     return EXIT_OK
 
 

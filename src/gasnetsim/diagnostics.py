@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -21,7 +21,6 @@ class LyapunovSeries:
     times: np.ndarray
     l0: np.ndarray
     l1: Optional[np.ndarray] = None
-    per_edge_l0: Optional[Dict[PipeId, np.ndarray]] = None
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
@@ -34,10 +33,6 @@ class LyapunovSeries:
             self.l1 = np.asarray(self.l1, dtype=float)
             if np.any(self.l1 < 0):
                 raise ValidationError("l1 values must be nonnegative")
-        if self.per_edge_l0 is not None:
-            for pid, series in self.per_edge_l0.items():
-                if len(series) != len(self.times):
-                    raise ValidationError(f"per-edge series for {pid!r} length mismatch")
 
     def sync_time(self) -> Optional[float]:
         """First time at which l0 is exactly zero, None if it never is."""
@@ -107,17 +102,6 @@ def lyapunov_l1(
         qp = (g1.r_plus - g0.r_plus) / dt
         qm = (g1.r_minus - g0.r_minus) / dt
         total += 0.5 * p.diameter ** 2 * g0.dx * float(np.dot(qp, qp) + np.dot(qm, qm))
-    return total
-
-
-def state_energy(state: SimState, graph: NetworkGraph) -> float:
-    """Discrete bookkeeping quantity sum_e D^2 dx sum_i (r+^2 + r-^2)."""
-    total = 0.0
-    for p in graph.pipes:
-        g = state.grids[p.id]
-        total += p.diameter ** 2 * g.dx * float(
-            np.dot(g.r_plus, g.r_plus) + np.dot(g.r_minus, g.r_minus)
-        )
     return total
 
 
@@ -204,26 +188,3 @@ class RegularityTracker:
                 quot = np.max(np.abs(ds - self._prev[pid])) / s_state.dt
                 self.b_tilde = max(self.b_tilde, float(quot))
         self._prev = current
-
-
-def estimate_regularity_bounds(
-    s_frames: Sequence[SimState],
-    r_frames: Optional[Sequence[SimState]] = None,
-) -> Tuple[float, float]:
-    """(m_tilde, b_tilde) over recorded trajectories.
-
-    m_tilde = max over the run of max(|S+ - S-|, |R+ - R-|); b_tilde = max
-    of the stepwise difference quotient of (S+ - S-).
-    """
-    if not s_frames:
-        raise ValidationError("estimate_regularity_bounds needs at least one frame")
-    tracker = RegularityTracker()
-    if r_frames is None:
-        for s in s_frames:
-            tracker.observe(s)
-    else:
-        if len(r_frames) != len(s_frames):
-            raise ValidationError("truth and observer trajectories differ in length")
-        for s, r in zip(s_frames, r_frames):
-            tracker.observe(s, r)
-    return tracker.m_tilde, tracker.b_tilde

@@ -454,9 +454,7 @@ def eval_boundary_schedule(
     into the network; the inflow convention makes the expression the same at
     both pipe ends.
     """
-    p_bar, m = interp_schedule(points, t)
-    rho = float(law.density_from_pressure(p_bar * BAR))
-    return float(law.rtilde(rho)) + m / (rho * pipe.area)
+    return make_boundary_control(points, pipe, law)(t)
 
 
 def make_boundary_control(

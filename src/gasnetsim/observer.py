@@ -11,19 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Optional, Tuple
 
-import numpy as np
-
 from .errors import ConfigurationError, ValidationError
-from .network import NetworkGraph, NodeId, PipeId, junction_outflow, omega_v
+from .network import NetworkGraph, NodeId, PipeId, PipeSpec, junction_outflow, omega_v
 from .solver import (
     Control,
     EdgeGrid,
     SimState,
-    advect_step,
+    control_values,
     friction_root_shifted,
-    friction_step,
     gather_node_inputs,
+    node_outputs,
     step_system,
+    transport,
 )
 
 
@@ -155,32 +154,27 @@ def step_coupled(
     """Advance truth and observer together by one tick.
 
     Both node maps read the previous-step edge states (one shared
-    measurement snapshot), then the two systems advance independently with
-    the same boundary schedule.
+    measurement snapshot) and the same control values u(t), then the two
+    systems advance independently.
     """
     cfg = cs.config
     s, r = cs.s_state, cs.r_state
-    t = s.t
+    u = control_values(graph, cfg.controls, s.t)
     s_in = gather_node_inputs(s, graph)
     r_in = gather_node_inputs(r, graph)
-    s_out: Dict[NodeId, Dict[PipeId, float]] = {}
+    s_out = node_outputs(graph, s_in, u, cfg.mu)
     r_out: Dict[NodeId, Dict[PipeId, float]] = {}
     traces: Optional[Dict[NodeId, NodalTrace]] = {} if collect_nodal else None
     for v in graph.nodes:
         mu = cfg.mu[v]
         diam = graph.diameters_at(v)
         if len(s_in[v]) == 1:
-            if v not in cfg.controls:
-                raise ConfigurationError(f"no boundary control for node {v!r}")
-            u = cfg.controls[v](t)
-            s_out[v] = junction_outflow(s_in[v], diam, boundary_gain=(mu, u))
-            r_out[v] = observer_node_update(mu, diam, r_in[v], u=u)
+            r_out[v] = observer_node_update(mu, diam, r_in[v], u=u[v])
             if traces is not None:
                 din = {e: r_in[v][e] - s_in[v][e] for e in s_in[v]}
                 traces[v] = NodalTrace(mu, din, {e: mu * d for e, d in din.items()})
         else:
-            so = junction_outflow(s_in[v], diam)
-            s_out[v] = so
+            so = s_out[v]
             din = {e: r_in[v][e] - s_in[v][e] for e in s_in[v]}
             dout = diff_junction_outflow(din, diam, mu)
             r_out[v] = {e: so[e] + dout[e] for e in so}
@@ -228,21 +222,15 @@ def direct_diff_step(
             outs[v] = {e: m * d for e, d in incoming.items()}
         else:
             outs[v] = diff_junction_outflow(incoming, graph.diameters_at(v), m)
-    grids: Dict[PipeId, EdgeGrid] = {}
-    for p in graph.pipes:
-        g = advect_step(
-            d_state.grids[p.id],
-            inflow_plus=outs[p.from_node][p.id],
-            inflow_minus=outs[p.to_node][p.id],
-        )
-        if p.nu > 0.0:
-            sg = s_new.grids[p.id]
-            a = 2.0 * d_state.dt * p.nu
-            ssum = g.r_plus + g.r_minus
-            d = friction_root_shifted(g.r_plus - g.r_minus, sg.r_plus - sg.r_minus, a)
-            g = replace(g, r_plus=(ssum + d) / 2.0, r_minus=(ssum - d) / 2.0)
-        grids[p.id] = g
-    return SimState(grids=grids, dt=d_state.dt, step_index=d_state.step_index + 1)
+
+    def shifted_friction(p: PipeSpec, g: EdgeGrid):
+        sg = s_new.grids[p.id]
+        a = 2.0 * d_state.dt * p.nu
+        ssum = g.r_plus + g.r_minus
+        d = friction_root_shifted(g.r_plus - g.r_minus, sg.r_plus - sg.r_minus, a)
+        return (ssum + d) / 2.0, (ssum - d) / 2.0
+
+    return transport(d_state, graph, outs, shifted_friction)
 
 
 def difference_state(r_state: SimState, s_state: SimState) -> SimState:

@@ -14,19 +14,17 @@ from .diagnostics import (
     RegularityTracker,
     SnapshotFrame,
     lyapunov_l0,
-    lyapunov_l0_per_edge,
     lyapunov_l1,
     nodal_energy_residual,
 )
 from .errors import NumericalError, ValidationError
 from .fileio import ScenarioSpec, make_boundary_control
-from .network import NetworkGraph, NodeId, PipeId
+from .network import NetworkGraph, NodeId
 from .observer import (
     CoupledState,
     ObserverConfig,
     SimState,
     difference_state,
-    direct_diff_step,
     step_coupled,
     step_system,
 )
@@ -114,11 +112,18 @@ def _check_finite(l0_value: float, t: float) -> None:
         raise NumericalError(f"simulation blew up: L0 is not finite at t={t}")
 
 
+def _check_state_finite(state: SimState) -> None:
+    """Every node map multiplies its inputs, so a non-finite value never
+    leaves the state again: checking now and then catches every blow-up."""
+    for pid, g in state.grids.items():
+        if not (np.isfinite(g.r_plus).all() and np.isfinite(g.r_minus).all()):
+            raise NumericalError(f"simulation blew up: pipe {pid} is not finite at t={state.t}")
+
+
 def run_observer_pair(
     graph: NetworkGraph,
     scenario: ScenarioSpec,
     record_l1: bool = True,
-    record_per_edge: bool = False,
     residual_stride: int = 0,
     snapshot_times: Sequence[float] = (),
 ) -> RunResult:
@@ -136,9 +141,6 @@ def run_observer_pair(
     times = np.empty(n + 1)
     l0 = np.empty(n + 1)
     l1 = np.empty(n) if record_l1 else None
-    per_edge: Optional[Dict[PipeId, np.ndarray]] = (
-        {p.id: np.empty(n + 1) for p in asm.graph.pipes} if record_per_edge else None
-    )
     residuals: List[Tuple[float, NodeId, float]] = []
     snapshots: List[SnapshotFrame] = []
     tracker = RegularityTracker()
@@ -147,9 +149,6 @@ def run_observer_pair(
     prev_delta = delta
     times[0] = cs.t
     l0[0] = lyapunov_l0(delta.grids, asm.graph)
-    if per_edge is not None:
-        for pid, val in lyapunov_l0_per_edge(delta.grids, asm.graph).items():
-            per_edge[pid][0] = val
     tracker.observe(cs.s_state, cs.r_state)
     if 0 in snap_steps:
         snapshots.append(SnapshotFrame.from_state(delta))
@@ -168,9 +167,6 @@ def run_observer_pair(
         times[k] = cs.t
         l0[k] = lyapunov_l0(delta.grids, asm.graph)
         _check_finite(l0[k], cs.t)
-        if per_edge is not None:
-            for pid, val in lyapunov_l0_per_edge(delta.grids, asm.graph).items():
-                per_edge[pid][k] = val
         if l1 is not None:
             l1[k - 1] = lyapunov_l1(prev_delta.grids, delta.grids, asm.graph, asm.dt)
         prev_delta = delta
@@ -178,7 +174,7 @@ def run_observer_pair(
         if k in snap_steps:
             snapshots.append(SnapshotFrame.from_state(delta))
 
-    series = LyapunovSeries(times=times, l0=l0, l1=l1, per_edge_l0=per_edge)
+    series = LyapunovSeries(times=times, l0=l0, l1=l1)
     return RunResult(
         series=series,
         residuals=residuals,
@@ -204,35 +200,8 @@ def run_truth(
         snapshots.append(SnapshotFrame.from_state(state))
     for k in range(1, asm.n_steps + 1):
         state = step_system(state, asm.graph, asm.config.controls, asm.mu)
-        sample = state.grids[asm.graph.pipes[0].id].r_plus
-        if sample.size and not math.isfinite(float(sample[0])):
-            raise NumericalError(f"simulation blew up at t={state.t}")
         if k in snap_steps:
+            _check_state_finite(state)
             snapshots.append(SnapshotFrame.from_state(state))
+    _check_state_finite(state)
     return state, snapshots, asm.graph
-
-
-def run_difference_direct(
-    graph: NetworkGraph, scenario: ScenarioSpec
-) -> Tuple[LyapunovSeries, SimState, NetworkGraph]:
-    """Run the error system directly, stepping the truth alongside when the
-    friction source needs it."""
-    asm = assemble(graph, scenario)
-    needs_truth = any(p.nu > 0.0 for p in asm.graph.pipes)
-    d_state = difference_state(asm.r_state, asm.s_state)
-    s_state = asm.s_state
-    n = asm.n_steps
-    times = np.empty(n + 1)
-    l0 = np.empty(n + 1)
-    times[0] = 0.0
-    l0[0] = lyapunov_l0(d_state.grids, asm.graph)
-    for k in range(1, n + 1):
-        if needs_truth:
-            s_state = step_system(s_state, asm.graph, asm.config.controls, asm.mu)
-            d_state = direct_diff_step(d_state, asm.graph, asm.mu, s_new=s_state)
-        else:
-            d_state = direct_diff_step(d_state, asm.graph, asm.mu)
-        times[k] = d_state.t
-        l0[k] = lyapunov_l0(d_state.grids, asm.graph)
-        _check_finite(l0[k], d_state.t)
-    return LyapunovSeries(times=times, l0=l0), d_state, asm.graph

@@ -10,13 +10,13 @@ tolerances anywhere in the kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Mapping, Optional, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import ConfigurationError, ScheduleError, ValidationError
-from .network import NetworkGraph, NodeId, PipeId, junction_outflow
+from .network import NetworkGraph, NodeId, PipeId, PipeSpec, junction_outflow
 
 Control = Callable[[float], float]
 
@@ -67,13 +67,6 @@ class SimState:
     @property
     def t(self) -> float:
         return self.step_index * self.dt
-
-    def copy(self) -> "SimState":
-        return SimState(
-            grids={pid: g.copy() for pid, g in self.grids.items()},
-            dt=self.dt,
-            step_index=self.step_index,
-        )
 
 
 def build_grids(
@@ -212,28 +205,57 @@ def gather_node_inputs(
     return vals
 
 
+def control_values(
+    graph: NetworkGraph, controls: Mapping[NodeId, Control], t: float
+) -> Dict[NodeId, float]:
+    """u(t) at every boundary node, each control evaluated once."""
+    u: Dict[NodeId, float] = {}
+    for v in graph.boundary_nodes:
+        if v not in controls:
+            raise ScheduleError(f"no boundary control for node {v!r}")
+        u[v] = controls[v](t)
+    return u
+
+
 def node_outputs(
     graph: NetworkGraph,
     node_inputs: Mapping[NodeId, Mapping[PipeId, float]],
-    t: float,
-    controls: Mapping[NodeId, Control],
+    u: Mapping[NodeId, float],
     gains: Mapping[NodeId, float],
 ) -> Dict[NodeId, Dict[PipeId, float]]:
     """Outgoing invariants at every node; boundary nodes consume (mu, u(t))."""
     outs: Dict[NodeId, Dict[PipeId, float]] = {}
     for v, incoming in node_inputs.items():
         if len(incoming) == 1:
-            if v not in controls:
-                raise ScheduleError(f"no boundary control for node {v!r}")
             if v not in gains:
                 raise ConfigurationError(f"no boundary gain mu for node {v!r}")
-            u = controls[v](t)
             outs[v] = junction_outflow(
-                incoming, graph.diameters_at(v), boundary_gain=(gains[v], u)
+                incoming, graph.diameters_at(v), boundary_gain=(gains[v], u[v])
             )
         else:
             outs[v] = junction_outflow(incoming, graph.diameters_at(v))
     return outs
+
+
+def transport(
+    state: SimState,
+    graph: NetworkGraph,
+    node_outs: Mapping[NodeId, Mapping[PipeId, float]],
+    friction: Callable[[PipeSpec, EdgeGrid], Tuple[np.ndarray, np.ndarray]],
+) -> SimState:
+    """Advect every edge with the node outputs as ghost inflows, then replace
+    (R+, R-) by `friction(pipe, grid)` on pipes with nu > 0."""
+    grids: Dict[PipeId, EdgeGrid] = {}
+    for p in graph.pipes:
+        g = advect_step(
+            state.grids[p.id],
+            inflow_plus=node_outs[p.from_node][p.id],
+            inflow_minus=node_outs[p.to_node][p.id],
+        )
+        if p.nu > 0.0:
+            g.r_plus, g.r_minus = friction(p, g)
+        grids[p.id] = g
+    return SimState(grids=grids, dt=state.dt, step_index=state.step_index + 1)
 
 
 def step_system(
@@ -252,17 +274,9 @@ def step_system(
     both systems share one measurement snapshot).
     """
     if node_outs is None:
-        node_inputs = gather_node_inputs(state, graph)
-        node_outs = node_outputs(graph, node_inputs, state.t, controls, gains)
-    grids: Dict[PipeId, EdgeGrid] = {}
-    for p in graph.pipes:
-        g = advect_step(
-            state.grids[p.id],
-            inflow_plus=node_outs[p.from_node][p.id],
-            inflow_minus=node_outs[p.to_node][p.id],
-        )
-        if p.nu > 0.0:
-            rp, rm = friction_step(g.r_plus, g.r_minus, p.nu, state.dt)
-            g = replace(g, r_plus=rp, r_minus=rm)
-        grids[p.id] = g
-    return SimState(grids=grids, dt=state.dt, step_index=state.step_index + 1)
+        u = control_values(graph, controls, state.t)
+        node_outs = node_outputs(graph, gather_node_inputs(state, graph), u, gains)
+    dt = state.dt
+    return transport(
+        state, graph, node_outs, lambda p, g: friction_step(g.r_plus, g.r_minus, p.nu, dt)
+    )

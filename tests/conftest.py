@@ -1,7 +1,7 @@
 import hypothesis
 import pytest
 
-from gasnetsim import NetworkGraph, PipeSpec
+from gasnetsim.network import NetworkGraph, PipeSpec
 
 hypothesis.settings.register_profile(
     "gasnetsim", deadline=None, max_examples=100, derandomize=True

@@ -11,39 +11,42 @@ import time
 import numpy as np
 import pytest
 
-from gasnetsim import (
-    AgaLaw,
-    CoupledState,
-    InitialCondition,
-    IsentropicLaw,
-    IsothermalLaw,
-    NetworkGraph,
-    PipeSpec,
-    ScenarioSpec,
-    SimState,
-    assemble,
-    build_grids,
-    bundled_path,
+from gasnetsim.bounds import (
     c0_constant,
     decay_certificates,
-    difference_state,
-    direct_diff_step,
-    fit_decay_rate,
-    friction_root,
-    friction_step,
-    junction_outflow,
-    lyapunov_l0,
-    nodal_energy_residual,
-    observer_node_update,
-    parse_network_file,
-    parse_scenario_file,
-    riemann_from_state,
-    run_observer_pair,
-    state_from_riemann,
-    step_coupled,
-    step_system,
     upsilon0,
     wellposedness_constants,
+)
+from gasnetsim.diagnostics import fit_decay_rate, lyapunov_l0, nodal_energy_residual
+from gasnetsim.fileio import (
+    InitialCondition,
+    ScenarioSpec,
+    bundled_path,
+    parse_network_file,
+    parse_scenario_file,
+)
+from gasnetsim.network import NetworkGraph, PipeSpec, junction_outflow
+from gasnetsim.observer import (
+    CoupledState,
+    difference_state,
+    direct_diff_step,
+    observer_node_update,
+    step_coupled,
+)
+from gasnetsim.physics import (
+    AgaLaw,
+    IsentropicLaw,
+    IsothermalLaw,
+    riemann_from_state,
+    state_from_riemann,
+)
+from gasnetsim.run import assemble, run_observer_pair
+from gasnetsim.solver import (
+    SimState,
+    build_grids,
+    friction_root,
+    friction_step,
+    step_system,
 )
 
 

@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gasnetsim import (
+from gasnetsim.bounds import (
     BoundInputs,
-    NetworkGraph,
-    PipeSpec,
-    ValidationError,
     c0_constant,
     c1_constant,
     decay_certificates,
@@ -16,6 +13,8 @@ from gasnetsim import (
     upsilon_factor,
     wellposedness_constants,
 )
+from gasnetsim.errors import ValidationError
+from gasnetsim.network import NetworkGraph, PipeSpec
 
 
 def one_pipe(length=100.0, theta=4e-4, diameter=0.5):

@@ -4,24 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gasnetsim import (
-    EdgeGrid,
+from gasnetsim.diagnostics import (
     LyapunovSeries,
-    NetworkGraph,
-    PipeSpec,
     RegularityTracker,
-    SimState,
     SnapshotFrame,
-    ValidationError,
-    build_grids,
-    estimate_regularity_bounds,
     fit_decay_rate,
     lyapunov_l0,
     lyapunov_l0_per_edge,
     lyapunov_l1,
     nodal_energy_residual,
-    state_energy,
 )
+from gasnetsim.errors import ValidationError
+from gasnetsim.network import NetworkGraph, PipeSpec
+from gasnetsim.solver import EdgeGrid, SimState, build_grids
 
 
 def unit_pipe_grid(n=8, length=2.0, fill_plus=0.0, fill_minus=0.0):
@@ -88,14 +83,6 @@ def test_l1_requires_two_frames():
     net, grids = unit_pipe_grid()
     with pytest.raises(ValidationError):
         lyapunov_l1(None, grids, net, dt=0.1)
-
-
-def test_state_energy_is_twice_l0():
-    net, grids = unit_pipe_grid(fill_plus=1.0, fill_minus=-2.0)
-    state = SimState(grids=grids, dt=1.0)
-    assert state_energy(state, net) == pytest.approx(
-        2.0 * lyapunov_l0(grids, net), rel=1e-14
-    )
 
 
 def test_nodal_residual_zero_cases():
@@ -169,42 +156,22 @@ def test_sync_time_detection():
 
 def test_regularity_bounds_rest_state(five_pipe):
     grids = build_grids(five_pipe, 340.0, 0.5, fill=1342.0)
-    frames = [SimState(grids=grids, dt=0.5), SimState(grids=grids, dt=0.5, step_index=1)]
-    m_tilde, b_tilde = estimate_regularity_bounds(frames)
-    assert m_tilde == 0.0
-    assert b_tilde == 0.0
+    tracker = RegularityTracker()
+    tracker.observe(SimState(grids=grids, dt=0.5))
+    tracker.observe(SimState(grids=grids, dt=0.5, step_index=1))
+    assert tracker.m_tilde == 0.0
+    assert tracker.b_tilde == 0.0
 
 
 def test_regularity_bounds_constant_difference():
     net, grids = unit_pipe_grid(fill_plus=2.0, fill_minus=-1.0)  # |S+ - S-| = 3
-    frames = [
-        SimState(grids={k: g.copy() for k, g in grids.items()}, dt=0.5, step_index=i)
-        for i in range(3)
-    ]
-    m_tilde, b_tilde = estimate_regularity_bounds(frames)
-    assert m_tilde >= 3.0
-    assert b_tilde == 0.0
-
-
-def test_regularity_tracker_matches_batch(five_pipe):
-    rng = np.random.default_rng(17)
-    frames_s, frames_r = [], []
-    for i in range(4):
-        grids = build_grids(five_pipe, 340.0, 0.5)
-        for g in grids.values():
-            g.r_plus[:] = rng.uniform(-1, 1, g.n_cells)
-            g.r_minus[:] = rng.uniform(-1, 1, g.n_cells)
-        frames_s.append(SimState(grids=grids, dt=0.5, step_index=i))
-        grids_r = {k: g.copy() for k, g in grids.items()}
-        for g in grids_r.values():
-            g.r_plus += rng.uniform(-0.1, 0.1, g.n_cells)
-        frames_r.append(SimState(grids=grids_r, dt=0.5, step_index=i))
-    m1, b1 = estimate_regularity_bounds(frames_s, frames_r)
     tracker = RegularityTracker()
-    for s, r in zip(frames_s, frames_r):
-        tracker.observe(s, r)
-    assert (tracker.m_tilde, tracker.b_tilde) == (m1, b1)
-    assert m1 > 0 and b1 > 0
+    for i in range(3):
+        tracker.observe(
+            SimState(grids={k: g.copy() for k, g in grids.items()}, dt=0.5, step_index=i)
+        )
+    assert tracker.m_tilde >= 3.0
+    assert tracker.b_tilde == 0.0
 
 
 def test_snapshot_frame_from_state(single_pipe):

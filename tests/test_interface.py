@@ -4,14 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gasnetsim import (
+from gasnetsim.errors import ParseError, ScheduleError, ValidationError
+from gasnetsim.fileio import (
     BAR,
     BoundaryPoint,
     InitialCondition,
-    IsothermalLaw,
-    ParseError,
-    ScheduleError,
-    ValidationError,
     bundled_path,
     eval_boundary_schedule,
     interp_schedule,
@@ -21,6 +18,7 @@ from gasnetsim import (
     parse_scenario_file,
     serialize_network,
 )
+from gasnetsim.physics import IsothermalLaw
 from gasnetsim.cli import run_cli
 from gasnetsim.network import PipeSpec
 
@@ -398,7 +396,7 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
 
 def test_cli_numerical_error_exit_code(tmp_path, capsys, monkeypatch):
     import gasnetsim.cli as cli_mod
-    from gasnetsim import NumericalError
+    from gasnetsim.errors import NumericalError
 
     net, scn = _write_small_inputs(tmp_path)
 
@@ -410,3 +408,19 @@ def test_cli_numerical_error_exit_code(tmp_path, capsys, monkeypatch):
                     "--out", str(tmp_path / "o")])
     assert code == 3
     assert "synthetic blow-up" in capsys.readouterr().err
+
+
+def test_cli_simulate_blow_up_exits_3_without_state(tmp_path, capsys):
+    # an absurd offtake at node 34 drives the density negative and the state
+    # non-finite somewhere away from the first pipe's first cell
+    scn = tmp_path / "blowup.scn"
+    scn.write_text(
+        bundled_path("step_friction.scn").read_text().replace("t_end 600", "t_end 30")
+        + "boundary 34 0 1e-300 1e10\n"
+    )
+    out = tmp_path / "out"
+    code = run_cli(["simulate", "--network", str(bundled_path("gaslib40_like.net")),
+                    "--scenario", str(scn), "--out", str(out)])
+    assert code == 3
+    assert "not finite" in capsys.readouterr().err
+    assert not (out / "state.csv").exists()

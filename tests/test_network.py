@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gasnetsim import (
-    NetworkGraph,
-    PipeSpec,
-    ValidationError,
-    junction_outflow,
-    omega_v,
-)
+from gasnetsim.errors import ValidationError
+from gasnetsim.network import NetworkGraph, PipeSpec, junction_outflow, omega_v
 
 
 def test_pipe_spec_validation():

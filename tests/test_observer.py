@@ -2,27 +2,21 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gasnetsim import (
-    ConfigurationError,
+from gasnetsim.diagnostics import lyapunov_l0, nodal_energy_residual
+from gasnetsim.errors import ConfigurationError, ValidationError
+from gasnetsim.fileio import InitialCondition, ScenarioSpec
+from gasnetsim.network import junction_outflow
+from gasnetsim.observer import (
     CoupledState,
-    InitialCondition,
     ObserverConfig,
-    ScenarioSpec,
-    SimState,
-    ValidationError,
-    assemble,
-    build_grids,
     difference_state,
     direct_diff_step,
-    gather_node_inputs,
-    junction_outflow,
-    lyapunov_l0,
     measure_nodal,
-    nodal_energy_residual,
     observer_node_update,
     step_coupled,
-    step_system,
 )
+from gasnetsim.run import assemble
+from gasnetsim.solver import SimState, build_grids, gather_node_inputs, step_system
 
 
 def test_observer_config_validates_mu():
@@ -314,7 +308,8 @@ def test_l0_conserved_with_unit_gains_no_friction(five_pipe):
 
 
 def test_l1_decays_for_continuous_error(five_pipe):
-    from gasnetsim import fit_decay_rate, run_observer_pair
+    from gasnetsim.diagnostics import fit_decay_rate
+    from gasnetsim.run import run_observer_pair
 
     scn = ScenarioSpec(
         theta=0.0137,
@@ -337,3 +332,28 @@ def test_coupled_state_validation(five_pipe):
     b = SimState(grids={k: g.copy() for k, g in grids.items()}, dt=0.25)
     with pytest.raises(ConfigurationError):
         CoupledState(a, b, ObserverConfig(mu={v: 0.0 for v in five_pipe.nodes}))
+
+
+def test_controls_evaluated_once_per_boundary_node_per_step(five_pipe, monkeypatch):
+    import gasnetsim.run as run_mod
+    from gasnetsim.fileio import make_boundary_control
+
+    calls = {}
+
+    def counting_factory(points, pipe, law):
+        control = make_boundary_control(points, pipe, law)
+        calls[pipe.id] = 0
+
+        def counted(t):
+            calls[pipe.id] += 1
+            return control(t)
+
+        return counted
+
+    monkeypatch.setattr(run_mod, "make_boundary_control", counting_factory)
+    scn = ScenarioSpec(theta=0.0137, t_end=5.0, dt=0.5, mu_uniform=0.5)
+    result = run_mod.run_observer_pair(five_pipe, scn, residual_stride=1)
+    n_steps = len(result.series.times) - 1
+    assert n_steps == 10
+    # each boundary node of five_pipe sits on its own pipe
+    assert calls == {five_pipe.incident_pipes(v)[0].id: n_steps for v in five_pipe.boundary_nodes}

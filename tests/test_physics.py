@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gasnetsim import (
+from gasnetsim.errors import DomainError, ValidationError
+from gasnetsim.physics import (
     AgaLaw,
-    DomainError,
     GasState,
     IsentropicLaw,
     IsothermalLaw,
-    ValidationError,
     mach_number,
     pressure_from_riemann,
     quasilinear_eigenvalues,

@@ -4,21 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gasnetsim import (
-    ConfigurationError,
+from gasnetsim.diagnostics import lyapunov_l0
+from gasnetsim.errors import ConfigurationError, ScheduleError, ValidationError
+from gasnetsim.network import NetworkGraph, PipeSpec
+from gasnetsim.observer import CoupledState, ObserverConfig, step_coupled
+from gasnetsim.physics import IsothermalLaw, riemann_from_state
+from gasnetsim.solver import (
     EdgeGrid,
-    IsothermalLaw,
-    NetworkGraph,
-    PipeSpec,
-    ScheduleError,
     SimState,
-    ValidationError,
     advect_step,
     build_grids,
     friction_root,
     friction_step,
-    riemann_from_state,
-    state_energy,
     step_system,
 )
 
@@ -211,7 +208,8 @@ def test_step_single_pipe_boundary_fill():
 
 def test_step_energy_conserved_per_step(five_pipe):
     # frictionless, mu = +1 at all boundary nodes, cfl = 1: the weighted
-    # energy sum_e D^2 dx sum(r+^2 + r-^2) is conserved each step.
+    # energy sum_e (D^2/2) dx sum(r+^2 + r-^2), i.e. L0 of the state, is
+    # conserved each step.
     net = five_pipe
     grids = build_grids(net, 340.0, 0.5)
     rng = np.random.default_rng(3)
@@ -221,10 +219,10 @@ def test_step_energy_conserved_per_step(five_pipe):
     state = SimState(grids=grids, dt=0.5)
     controls = {v: (lambda t: 1234.5) for v in net.boundary_nodes}
     gains = {v: 1.0 for v in net.boundary_nodes}
-    e_prev = state_energy(state, net)
+    e_prev = lyapunov_l0(state.grids, net)
     for _ in range(50):
         state = step_system(state, net, controls, gains)
-        e_now = state_energy(state, net)
+        e_now = lyapunov_l0(state.grids, net)
         assert e_now == pytest.approx(e_prev, rel=1e-12)
         e_prev = e_now
 
@@ -247,10 +245,15 @@ def test_step_rest_state_is_fixed_point(five_pipe):
 
 
 def test_step_missing_control_raises(single_pipe):
-    grids = build_grids(single_pipe, 340.0, 1.0)
-    state = SimState(grids=grids, dt=1.0)
+    gains = {"a": 0.0, "b": 0.0}
+    state = SimState(grids=build_grids(single_pipe, 340.0, 1.0), dt=1.0)
     with pytest.raises(ScheduleError):
-        step_system(state, single_pipe, {}, {"a": 0.0, "b": 0.0})
+        step_system(state, single_pipe, {}, gains)
+    # the coupled stepper evaluates the controls through the same path
+    other = SimState(grids=build_grids(single_pipe, 340.0, 1.0), dt=1.0)
+    cs = CoupledState(state, other, ObserverConfig(mu=gains, controls={"a": lambda t: 0.0}))
+    with pytest.raises(ScheduleError):
+        step_coupled(cs, single_pipe)
 
 
 def test_sharp_front_stays_sharp(single_pipe):
