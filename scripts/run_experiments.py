@@ -18,6 +18,8 @@ import sys
 import time
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
 from gasnetsim import (
     bundled_path,
     fit_decay_rate,
@@ -25,7 +27,7 @@ from gasnetsim import (
     parse_scenario_file,
     run_observer_pair,
 )
-from gasnetsim.cli import write_observe_outputs
+from gasnetsim.cli import parse_fit_window, write_observe_outputs
 from gasnetsim.errors import ValidationError
 
 FAMILIES = {
@@ -59,6 +61,7 @@ def main(argv=None) -> int:
 
     net = parse_network_file(bundled_path("gaslib40_like.net"))
     out_root = Path(args.out)
+    window = parse_fit_window("", args.t_end)
     n_runs = 0
     for family in args.families.split(","):
         if family not in FAMILIES:
@@ -79,9 +82,9 @@ def main(argv=None) -> int:
             )
             wall = time.perf_counter() - tic
             run_dir = out_root / family / f"mu_{label}"
-            write_observe_outputs(run_dir, result, scn.t_end, "")
+            write_observe_outputs(run_dir, result, window)
             try:
-                rate, _ = fit_decay_rate(result.series, (0.25 * scn.t_end, 0.95 * scn.t_end))
+                rate, _ = fit_decay_rate(result.series, window)
             except ValidationError:
                 rate = None
             sync = result.sync_time

@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .bounds import BoundInputs, decay_certificates, wellposedness_constants
 from .diagnostics import SnapshotFrame, fit_decay_rate
@@ -69,14 +71,20 @@ def _write_snapshots(out_dir: Path, snapshots: Sequence[SnapshotFrame], cols=("d
                     fh.write(f"{pid},{_fmt(xs[i])},{_fmt(dp[i])},{_fmt(dm[i])}\n")
 
 
-def _default_snapshot_times(scenario) -> List[float]:
-    return [0.0, scenario.t_end / 2.0, scenario.t_end]
+def parse_fit_window(text: str, t_end: float) -> Tuple[float, float]:
+    """The decay-fit window from the text of --fit-window; empty means
+    0.25 T .. 0.95 T with T = `t_end`."""
+    if not text:
+        return 0.25 * t_end, 0.95 * t_end
+    parts = _parse_times(text)
+    if len(parts) != 2 or parts[0] >= parts[1]:
+        raise ValidationError(f"--fit-window needs 't0,t1' with t0 < t1, got {text!r}")
+    return parts[0], parts[1]
 
 
-def write_observe_outputs(out: Path, result: RunResult, t_end: float, fit_window: str) -> None:
+def write_observe_outputs(out: Path, result: RunResult, window: Tuple[float, float]) -> None:
     """Write l0.csv, l1.csv, residuals.csv, snapshots/ and rates.txt of one
-    observer run into `out`.  `fit_window` is the text of --fit-window;
-    empty means 0.25 T .. 0.95 T with T = `t_end`."""
+    observer run into `out`, with decay rates fitted over `window`."""
     out.mkdir(parents=True, exist_ok=True)
     series = result.series
     _write_series_csv(out / "l0.csv", "t,l0", zip(series.times.tolist(), series.l0.tolist()))
@@ -86,15 +94,7 @@ def write_observe_outputs(out: Path, result: RunResult, t_end: float, fit_window
     _write_series_csv(out / "residuals.csv", "t,node,residual", result.residuals)
     _write_snapshots(out, result.snapshots)
 
-    lines = []
-    if fit_window:
-        parts = _parse_times(fit_window)
-        if len(parts) != 2 or parts[0] >= parts[1]:
-            raise ValidationError(f"--fit-window needs 't0,t1' with t0 < t1, got {fit_window!r}")
-        window = (parts[0], parts[1])
-    else:
-        window = (0.25 * t_end, 0.95 * t_end)
-    lines.append(f"fit_window_s = [{window[0]:g}, {window[1]:g}]")
+    lines = [f"fit_window_s = [{window[0]:g}, {window[1]:g}]"]
     for label, use_l1 in (("l0", False), ("l1", True)):
         try:
             rate, r2 = fit_decay_rate(series, window, use_l1=use_l1)
@@ -113,9 +113,9 @@ def write_observe_outputs(out: Path, result: RunResult, t_end: float, fit_window
 
 def _cmd_observe(args) -> int:
     graph, scenario = _load_inputs(args)
-    snap_times = (
-        _parse_times(args.snapshots) if args.snapshots else _default_snapshot_times(scenario)
-    )
+    t_end = scenario.t_end
+    window = parse_fit_window(args.fit_window, t_end)
+    snap_times = _parse_times(args.snapshots) if args.snapshots else [0.0, t_end / 2.0, t_end]
     result = run_observer_pair(
         graph,
         scenario,
@@ -123,7 +123,7 @@ def _cmd_observe(args) -> int:
         residual_stride=args.residual_stride,
         snapshot_times=snap_times,
     )
-    write_observe_outputs(Path(args.out), result, scenario.t_end, args.fit_window)
+    write_observe_outputs(Path(args.out), result, window)
     return EXIT_OK
 
 
@@ -264,7 +264,9 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # The finiteness checks report a blow-up; numpy need not warn on the way.
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -1,9 +1,8 @@
 """Pressure laws and the Riemann-invariant change of variables.
 
 The invariants are R_pm = Rt(rho) +- q/rho with Rt(rho) = int_1^rho
-sqrt(p'(r))/r dr.  Isothermal and isentropic laws have closed forms for Rt
-and its inverse; the AGA law falls back to adaptive quadrature plus a
-bracketed monotone root find.
+sqrt(p'(r))/r dr.  Every law here has a closed form for Rt and its inverse,
+vectorised over numpy arrays.
 """
 
 from __future__ import annotations
@@ -13,10 +12,7 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
-
-from .errors import DomainError, NumericalError, ValidationError
+from .errors import DomainError, ValidationError
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -42,15 +38,11 @@ class GasState:
 class PressureLaw:
     """Base class: a strictly increasing pressure function p(rho).
 
-    Subclasses implement pressure/dpressure/density_from_pressure and may
-    override rtilde/rtilde_inverse with closed forms.  The generic versions
-    use adaptive quadrature (relative tolerance 1e-12) and a bracketed root
-    find, which is what the AGA law relies on.
+    Subclasses implement pressure/dpressure/density_from_pressure and the
+    closed forms rtilde/rtilde_inverse.
     """
 
     rho_ref: float
-
-    _QUAD_RTOL = 1e-12
 
     def pressure(self, rho: ArrayLike) -> ArrayLike:
         raise NotImplementedError
@@ -78,45 +70,10 @@ class PressureLaw:
             raise ValidationError("pressure law is not strictly increasing on the sampled range")
 
     def rtilde(self, rho: ArrayLike) -> ArrayLike:
-        self._check_rho(rho)
-        arr = np.asarray(rho, dtype=float)
-        if arr.ndim == 0:
-            return self._rtilde_scalar(float(arr))
-        return np.array([self._rtilde_scalar(r) for r in arr.ravel()]).reshape(arr.shape)
-
-    def _rtilde_scalar(self, rho: float) -> float:
-        def integrand(r: float) -> float:
-            return math.sqrt(float(self.dpressure(r))) / r
-
-        val, err = quad(integrand, 1.0, rho, epsabs=0.0, epsrel=self._QUAD_RTOL, limit=300)
-        scale = max(abs(val), 1e-300)
-        if not math.isfinite(val) or err > 1e-8 * scale + 1e-13:
-            raise NumericalError(f"rtilde quadrature did not converge at rho={rho}")
-        return val
+        raise NotImplementedError
 
     def rtilde_inverse(self, r: ArrayLike) -> ArrayLike:
-        arr = np.asarray(r, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise DomainError(f"rtilde_inverse needs finite input, got {r}")
-        if arr.ndim == 0:
-            return self._rtilde_inverse_scalar(float(arr))
-        return np.array([self._rtilde_inverse_scalar(x) for x in arr.ravel()]).reshape(arr.shape)
-
-    def _rtilde_inverse_scalar(self, r: float) -> float:
-        if r == 0.0:
-            return 1.0
-        lo, hi = 1.0, 1.0
-        if r > 0.0:
-            while self._rtilde_scalar(hi) < r:
-                hi *= 2.0
-                if hi > 1e300:
-                    raise NumericalError(f"rtilde_inverse bracket blew up for r={r}")
-        else:
-            while self._rtilde_scalar(lo) > r:
-                lo /= 2.0
-                if lo < 1e-300:
-                    raise NumericalError(f"rtilde_inverse bracket underflow for r={r}")
-        return brentq(lambda rho: self._rtilde_scalar(rho) - r, lo, hi, rtol=1e-15, maxiter=300)
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -232,6 +189,23 @@ class AgaLaw(PressureLaw):
         if np.any(rho <= 0):
             raise DomainError("pressure outside the AGA admissible range")
         return rho
+
+    def rtilde(self, rho: ArrayLike) -> ArrayLike:
+        # sqrt(Rs*T) * ln(rho (1 - alpha) / (1 - alpha rho))
+        self._check_rho(rho)
+        rho = np.asarray(rho, dtype=float)
+        return math.sqrt(self.rs_t) * (
+            np.log(rho) + math.log1p(-self.alpha) - np.log1p(-self.alpha * rho)
+        )
+
+    def rtilde_inverse(self, r: ArrayLike) -> ArrayLike:
+        # rho = y / ((1 - alpha) + alpha y) with y = exp(r / sqrt(Rs*T)); for
+        # alpha < 0 the denominator vanishes at the supremum of Rt.
+        y = np.exp(np.asarray(r, dtype=float) / math.sqrt(self.rs_t))
+        denom = (1.0 - self.alpha) + self.alpha * y
+        if not np.all(denom > 0.0):
+            raise DomainError(f"invariant midpoint {r} has no AGA density")
+        return y / denom
 
 
 def riemann_from_state(law: PressureLaw, rho: float, q: float) -> Tuple[float, float]:

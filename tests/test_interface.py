@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +25,8 @@ from gasnetsim.fileio import (
 from gasnetsim.physics import IsothermalLaw
 from gasnetsim.cli import run_cli
 from gasnetsim.network import PipeSpec
+
+REPO = Path(__file__).resolve().parent.parent
 
 MINIMAL_NET = """
 # two nodes, one pipe
@@ -410,7 +416,7 @@ def test_cli_numerical_error_exit_code(tmp_path, capsys, monkeypatch):
     assert "synthetic blow-up" in capsys.readouterr().err
 
 
-def test_cli_simulate_blow_up_exits_3_without_state(tmp_path, capsys):
+def _blow_up_args(tmp_path: Path):
     # an absurd offtake at node 34 drives the density negative and the state
     # non-finite somewhere away from the first pipe's first cell
     scn = tmp_path / "blowup.scn"
@@ -418,9 +424,48 @@ def test_cli_simulate_blow_up_exits_3_without_state(tmp_path, capsys):
         bundled_path("step_friction.scn").read_text().replace("t_end 600", "t_end 30")
         + "boundary 34 0 1e-300 1e10\n"
     )
-    out = tmp_path / "out"
-    code = run_cli(["simulate", "--network", str(bundled_path("gaslib40_like.net")),
-                    "--scenario", str(scn), "--out", str(out)])
+    return ["simulate", "--network", str(bundled_path("gaslib40_like.net")),
+            "--scenario", str(scn), "--out", str(tmp_path / "out")]
+
+
+def test_cli_simulate_blow_up_exits_3_without_state(tmp_path, capsys):
+    code = run_cli(_blow_up_args(tmp_path))
     assert code == 3
     assert "not finite" in capsys.readouterr().err
-    assert not (out / "state.csv").exists()
+    assert not (tmp_path / "out" / "state.csv").exists()
+
+
+def test_cli_blow_up_raises_no_numpy_warning(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(_blow_up_args(tmp_path)) == 3
+
+
+def test_cli_observe_bad_fit_window_writes_nothing(tmp_path, capsys):
+    net, scn = _write_small_inputs(tmp_path)
+    out = tmp_path / "out"
+    code = run_cli(["observe", "--network", str(net), "--scenario", str(scn),
+                    "--out", str(out), "--fit-window", "3,1"])
+    assert code == 2
+    assert "--fit-window" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, gasnetsim.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"
+
+
+def test_run_experiments_script_runs_from_plain_checkout(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = tmp_path / "results"
+    done = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "run_experiments.py"), "--t-end", "5",
+         "--families", "step_nofriction", "--mus", "0", "--out", str(out)],
+        env=env, cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (out / "step_nofriction" / "mu_0" / "rates.txt").exists()
