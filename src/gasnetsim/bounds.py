@@ -25,7 +25,6 @@ class BoundInputs:
     the latter.
     """
 
-    j: float
     m: float
     m_tilde: float
     b_tilde: float
@@ -36,10 +35,10 @@ class BoundInputs:
     c: float
 
     def __post_init__(self) -> None:
-        if self.m <= 0:
-            raise ValidationError("m must be positive")
-        if self.m_tilde < 0 or self.b_tilde < 0:
-            raise ValidationError("m_tilde and b_tilde must be nonnegative")
+        if not (math.isfinite(self.m) and self.m > 0):
+            raise ValidationError(f"amplitude bound m must be finite and positive, got {self.m}")
+        if not all(math.isfinite(x) and x >= 0 for x in (self.m_tilde, self.b_tilde)):
+            raise ValidationError("m_tilde and b_tilde must be finite and nonnegative")
         if self.t0_min > self.t0_max:
             raise ValidationError("t0_min cannot exceed t0_max")
         if self.c <= 0 or self.t_horizon <= 0 or self.nu_max < 0:
@@ -54,11 +53,9 @@ class BoundInputs:
         m: float,
         m_tilde: float = 0.0,
         b_tilde: float = 0.0,
-        j: float = 0.0,
     ) -> "BoundInputs":
         lengths = [p.length for p in graph.pipes]
         return cls(
-            j=j,
             m=m,
             m_tilde=m_tilde,
             b_tilde=b_tilde,

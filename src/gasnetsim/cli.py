@@ -8,6 +8,7 @@ deterministically for identical inputs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -30,10 +31,17 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _parse_times(text: str) -> List[float]:
+def _parse_times(text: str, option: str) -> List[float]:
     if not text.strip():
         return []
-    return [float(tok) for tok in text.split(",")]
+    error = ValidationError(f"{option} needs comma-separated finite times in s, got {text!r}")
+    try:
+        times = [float(tok) for tok in text.split(",")]
+    except ValueError:
+        raise error from None
+    if not all(math.isfinite(t) for t in times):
+        raise error
+    return times
 
 
 def _load_inputs(args):
@@ -76,7 +84,7 @@ def parse_fit_window(text: str, t_end: float) -> Tuple[float, float]:
     0.25 T .. 0.95 T with T = `t_end`."""
     if not text:
         return 0.25 * t_end, 0.95 * t_end
-    parts = _parse_times(text)
+    parts = _parse_times(text, "--fit-window")
     if len(parts) != 2 or parts[0] >= parts[1]:
         raise ValidationError(f"--fit-window needs 't0,t1' with t0 < t1, got {text!r}")
     return parts[0], parts[1]
@@ -115,7 +123,9 @@ def _cmd_observe(args) -> int:
     graph, scenario = _load_inputs(args)
     t_end = scenario.t_end
     window = parse_fit_window(args.fit_window, t_end)
-    snap_times = _parse_times(args.snapshots) if args.snapshots else [0.0, t_end / 2.0, t_end]
+    if args.residual_stride < 0:
+        raise ValidationError(f"--residual-stride must be >= 0, got {args.residual_stride}")
+    snap_times = _parse_times(args.snapshots, "--snapshots") or [0.0, t_end / 2.0, t_end]
     result = run_observer_pair(
         graph,
         scenario,
@@ -129,8 +139,8 @@ def _cmd_observe(args) -> int:
 
 def _cmd_simulate(args) -> int:
     graph, scenario = _load_inputs(args)
-    snap_times = _parse_times(args.snapshots) if args.snapshots else []
-    state, snapshots, eff_graph = run_truth(graph, scenario, snapshot_times=snap_times)
+    snap_times = _parse_times(args.snapshots, "--snapshots")
+    state, snapshots = run_truth(graph, scenario, snapshot_times=snap_times)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     law = scenario.make_law()
@@ -150,7 +160,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_snapshot(args) -> int:
     graph, scenario = _load_inputs(args)
-    snap_times = _parse_times(args.times)
+    snap_times = _parse_times(args.times, "--times")
     if not snap_times:
         raise ValidationError("snapshot needs --times t1[,t2,...]")
     result = run_observer_pair(
@@ -168,7 +178,9 @@ def _cmd_certify(args) -> int:
     c = law.sound_speed()
     eff_graph = graph.with_theta(scenario.theta)
     mu = scenario.resolve_mu(eff_graph)
-    if args.m_tilde is not None and args.b_tilde is not None:
+    if (args.m_tilde is None) != (args.b_tilde is None):
+        raise ValidationError("--m-tilde and --b-tilde must be given together")
+    if args.m_tilde is not None:
         m_tilde, b_tilde = args.m_tilde, args.b_tilde
         source = "supplied"
     else:

@@ -64,21 +64,15 @@ class SnapshotFrame:
         )
 
 
-def lyapunov_l0_per_edge(
-    delta_grids: Mapping[PipeId, EdgeGrid], graph: NetworkGraph
-) -> Dict[PipeId, float]:
-    """Per-edge (D^2/2) * dx * sum(delta_plus^2 + delta_minus^2), midpoint rule."""
-    out: Dict[PipeId, float] = {}
+def lyapunov_l0(delta_grids: Mapping[PipeId, EdgeGrid], graph: NetworkGraph) -> float:
+    """Network error functional: the sum over edges of
+    (D^2/2) * dx * sum(delta_plus^2 + delta_minus^2), midpoint rule."""
+    terms = []
     for p in graph.pipes:
         g = delta_grids[p.id]
         ssq = float(np.dot(g.r_plus, g.r_plus) + np.dot(g.r_minus, g.r_minus))
-        out[p.id] = 0.5 * p.diameter ** 2 * g.dx * ssq
-    return out
-
-
-def lyapunov_l0(delta_grids: Mapping[PipeId, EdgeGrid], graph: NetworkGraph) -> float:
-    """Network error functional: sum over edges of the weighted L2 norm squared."""
-    return sum(lyapunov_l0_per_edge(delta_grids, graph).values())
+        terms.append(0.5 * p.diameter ** 2 * g.dx * ssq)
+    return sum(terms)
 
 
 def lyapunov_l1(

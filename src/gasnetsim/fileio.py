@@ -1,4 +1,4 @@
-"""Network and scenario file ingestion, boundary schedules, CSV emission.
+"""Network and scenario file ingestion and boundary schedules.
 
 Native network format (one record per non-comment line, '#' comments):
 
@@ -46,14 +46,11 @@ def bundled_path(name: str) -> Path:
 # network parsing
 
 
-def parse_network(text: str, fmt: str = "auto") -> NetworkGraph:
-    if fmt == "auto":
-        fmt = "gaslib-subset" if text.lstrip().startswith("<") else "native"
-    if fmt == "native":
-        return _parse_native(text)
-    if fmt == "gaslib-subset":
+def parse_network(text: str) -> NetworkGraph:
+    """Parse GasLib-subset XML if the text starts with '<', else the native format."""
+    if text.lstrip().startswith("<"):
         return _parse_gaslib(text)
-    raise ParseError(f"unknown network format {fmt!r}")
+    return _parse_native(text)
 
 
 def parse_network_file(path) -> NetworkGraph:
@@ -100,16 +97,6 @@ def _parse_native(text: str) -> NetworkGraph:
     if stray:
         raise ParseError(f"declared node(s) not attached to any pipe: {sorted(stray)}")
     return NetworkGraph(pipes)
-
-
-def serialize_network(graph: NetworkGraph) -> str:
-    lines = [f"node {v}" for v in graph.nodes]
-    for p in graph.pipes:
-        rec = f"pipe {p.id} {p.from_node} {p.to_node} {p.length!r} {p.diameter!r}"
-        if p.theta != 0.0:
-            rec += f" {p.theta!r}"
-        lines.append(rec)
-    return "\n".join(lines) + "\n"
 
 
 def _strip_ns(tag: str) -> str:
@@ -430,37 +417,16 @@ def _positive(parts: Sequence[str], i: int) -> float:
 # boundary schedules
 
 
-def interp_schedule(points: Sequence[BoundaryPoint], t: float) -> Tuple[float, float]:
-    """Piecewise-linear (pressure_bar, mass_flow) at time t.
-
-    Constant extrapolation on both sides: before the first breakpoint the
-    first value is used, after the last the last one.
-    """
-    if t < 0:
-        raise ScheduleError(f"schedule evaluated at negative time t={t}")
-    _check_schedule(points)
-    ts = np.array([p.t for p in points])
-    ps = np.array([p.p_bar for p in points])
-    ms = np.array([p.m_kg_s for p in points])
-    return float(np.interp(t, ts, ps)), float(np.interp(t, ts, ms))
-
-
-def eval_boundary_schedule(
-    points: Sequence[BoundaryPoint], t: float, pipe: PipeSpec, law: PressureLaw
-) -> float:
-    """Prescribed incoming invariant u(t) at a boundary node of `pipe`.
-
-    u = Rt(rho(p)) + m / (rho A) with A = pi D^2 / 4 and m counted positive
-    into the network; the inflow convention makes the expression the same at
-    both pipe ends.
-    """
-    return make_boundary_control(points, pipe, law)(t)
-
-
 def make_boundary_control(
     points: Sequence[BoundaryPoint], pipe: PipeSpec, law: PressureLaw
 ):
-    """Callable t -> u for the solver, closing over one node's schedule."""
+    """Callable t -> u for the solver, closing over one node's schedule.
+
+    Pressure and mass flow are interpolated linearly between breakpoints and
+    held constant after the last one; t < 0 raises ScheduleError.  Then
+    u = Rt(rho(p)) + m / (rho A) with A = pi D^2 / 4 and m counted positive
+    into the network, the same expression at both pipe ends.
+    """
     pts = tuple(points)
     _check_schedule(pts)
     ts = np.array([p.t for p in pts])

@@ -1,4 +1,4 @@
-"""Pipe network graph: orientation, incidence signs and junction coupling maps.
+"""Pipe network graph: orientation and junction coupling maps.
 
 Each pipe is the interval [0, length] oriented from ``from_node`` to
 ``to_node``.  The orientation comes from the input file and does not have to
@@ -96,10 +96,10 @@ def junction_outflow(
 
 
 class NetworkGraph:
-    """Immutable pipe network with cached incidence and junction weights.
+    """Immutable pipe network with cached incident pipes per node.
 
-    omega_v and the per-node diameter tables are precomputed because they are
-    read on every time step.
+    The per-node diameter tables are precomputed because every node map
+    reads them on every time step; the node maps compute omega_v from them.
     """
 
     def __init__(self, pipes: Sequence[PipeSpec]):
@@ -111,7 +111,6 @@ class NetworkGraph:
             dup = sorted({i for i in ids if ids.count(i) > 1})
             raise ValidationError(f"duplicate pipe id(s): {dup}")
         self.pipes: Tuple[PipeSpec, ...] = pipes
-        self._pipe_by_id: Dict[PipeId, PipeSpec] = {p.id: p for p in pipes}
 
         nodes: list[NodeId] = []
         incident: Dict[NodeId, list[PipeSpec]] = {}
@@ -127,9 +126,6 @@ class NetworkGraph:
             v: tuple(ps) for v, ps in incident.items()
         }
         self._check_connected()
-        self.omega: Dict[NodeId, float] = {
-            v: omega_v(p.diameter for p in self._incident[v]) for v in self.nodes
-        }
         self._diameters: Dict[NodeId, Dict[PipeId, float]] = {
             v: {p.id: p.diameter for p in self._incident[v]} for v in self.nodes
         }
@@ -151,42 +147,15 @@ class NetworkGraph:
             missing = sorted(set(self.nodes) - seen)
             raise ValidationError(f"network is not connected, unreachable: {missing}")
 
-    def pipe(self, pipe_id: PipeId) -> PipeSpec:
-        try:
-            return self._pipe_by_id[pipe_id]
-        except KeyError:
-            raise ValidationError(f"unknown pipe id {pipe_id!r}") from None
-
     def incident_pipes(self, v: NodeId) -> Tuple[PipeSpec, ...]:
         try:
             return self._incident[v]
         except KeyError:
             raise ValidationError(f"unknown node id {v!r}") from None
 
-    def degree(self, v: NodeId) -> int:
-        return len(self.incident_pipes(v))
-
     def diameters_at(self, v: NodeId) -> Dict[PipeId, float]:
         self.incident_pipes(v)
         return self._diameters[v]
-
-    def incidence(self, v: NodeId, pipe_id: PipeId) -> int:
-        """Incidence sign: -1 if the pipe starts at v, +1 if it ends at v, 0 else."""
-        if v not in self._incident:
-            raise ValidationError(f"unknown node id {v!r}")
-        p = self.pipe(pipe_id)
-        if v == p.from_node:
-            return -1
-        if v == p.to_node:
-            return 1
-        return 0
-
-    def node_end(self, pipe_id: PipeId, v: NodeId) -> float:
-        """Coordinate x of node v on pipe `pipe_id` (0 or the pipe length)."""
-        s = self.incidence(v, pipe_id)
-        if s == 0:
-            raise ValidationError(f"node {v!r} is not incident to pipe {pipe_id!r}")
-        return 0.0 if s < 0 else self.pipe(pipe_id).length
 
     def with_theta(self, theta: float) -> "NetworkGraph":
         """Copy of the graph with a uniform friction coefficient on all pipes."""

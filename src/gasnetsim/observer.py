@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import ConfigurationError, ValidationError
-from .network import NetworkGraph, NodeId, PipeId, PipeSpec, junction_outflow, omega_v
+from .network import NetworkGraph, NodeId, PipeId, PipeSpec, omega_v
 from .solver import (
     Control,
     EdgeGrid,
@@ -37,13 +37,6 @@ class ObserverConfig:
         for v, m in self.mu.items():
             if not abs(m) <= 1.0:
                 raise ValidationError(f"mu at node {v!r} is {m}, outside [-1, 1]")
-
-    def decay_eligible(self, graph: NetworkGraph) -> bool:
-        """True when every pipe has at least one endpoint with |mu| < 1."""
-        for p in graph.pipes:
-            if all(abs(self.mu[v]) >= 1.0 for v in (p.from_node, p.to_node)):
-                return False
-        return True
 
 
 @dataclass
@@ -76,26 +69,6 @@ class NodalTrace:
     delta_out: Dict[PipeId, float]
 
 
-def measure_nodal(
-    s_state: SimState, graph: NetworkGraph
-) -> Dict[NodeId, Tuple[Dict[PipeId, float], Optional[Dict[PipeId, float]]]]:
-    """Truth measurements per node: (incoming traces, outgoing traces).
-
-    Incoming: R+ from the last cell at a pipe's x=L end, R- from the first
-    cell at its x=0 end.  Outgoing traces satisfy the node condition, so for
-    interior nodes they are the junction map applied to the incoming ones;
-    boundary nodes report None (the observer boundary rule does not use them).
-    """
-    ins = gather_node_inputs(s_state, graph)
-    out: Dict[NodeId, Tuple[Dict[PipeId, float], Optional[Dict[PipeId, float]]]] = {}
-    for v, incoming in ins.items():
-        if len(incoming) >= 2:
-            out[v] = (incoming, junction_outflow(incoming, graph.diameters_at(v)))
-        else:
-            out[v] = (incoming, None)
-    return out
-
-
 def diff_junction_outflow(
     delta_in: Mapping[PipeId, float],
     diameters: Mapping[PipeId, float],
@@ -113,6 +86,25 @@ def diff_junction_outflow(
     w = omega_v(diameters.values())
     total = sum(diameters[e] ** 2 * d for e, d in delta_in.items())
     return {e: mu * (w * total - d) for e, d in delta_in.items()}
+
+
+def error_node_outputs(
+    graph: NetworkGraph,
+    delta_in: Mapping[NodeId, Mapping[PipeId, float]],
+    mu: Mapping[NodeId, float],
+) -> Dict[NodeId, Dict[PipeId, float]]:
+    """Outgoing error invariants at every node: mu * delta_in at boundary
+    nodes, `diff_junction_outflow` at interior nodes."""
+    outs: Dict[NodeId, Dict[PipeId, float]] = {}
+    for v, incoming in delta_in.items():
+        m = mu[v]
+        if not abs(m) <= 1.0:
+            raise ValidationError(f"mu at node {v!r} is {m}, outside [-1, 1]")
+        if len(incoming) == 1:
+            outs[v] = {e: m * d for e, d in incoming.items()}
+        else:
+            outs[v] = diff_junction_outflow(incoming, graph.diameters_at(v), m)
+    return outs
 
 
 def observer_node_update(
@@ -163,23 +155,19 @@ def step_coupled(
     s_in = gather_node_inputs(s, graph)
     r_in = gather_node_inputs(r, graph)
     s_out = node_outputs(graph, s_in, u, cfg.mu)
+    d_in = {v: {e: r_in[v][e] - x for e, x in ins.items()} for v, ins in s_in.items()}
+    d_out = error_node_outputs(graph, d_in, cfg.mu)
     r_out: Dict[NodeId, Dict[PipeId, float]] = {}
-    traces: Optional[Dict[NodeId, NodalTrace]] = {} if collect_nodal else None
-    for v in graph.nodes:
-        mu = cfg.mu[v]
-        diam = graph.diameters_at(v)
-        if len(s_in[v]) == 1:
-            r_out[v] = observer_node_update(mu, diam, r_in[v], u=u[v])
-            if traces is not None:
-                din = {e: r_in[v][e] - s_in[v][e] for e in s_in[v]}
-                traces[v] = NodalTrace(mu, din, {e: mu * d for e, d in din.items()})
+    # Boundary nodes keep the truth map's form (1 - mu) u + mu R_in; the
+    # equal S_out + mu delta rounds differently.
+    for v, so in s_out.items():
+        if len(so) == 1:
+            r_out[v] = observer_node_update(cfg.mu[v], graph.diameters_at(v), r_in[v], u=u[v])
         else:
-            so = s_out[v]
-            din = {e: r_in[v][e] - s_in[v][e] for e in s_in[v]}
-            dout = diff_junction_outflow(din, diam, mu)
-            r_out[v] = {e: so[e] + dout[e] for e in so}
-            if traces is not None:
-                traces[v] = NodalTrace(mu, din, dout)
+            r_out[v] = {e: so[e] + d_out[v][e] for e in so}
+    traces = None
+    if collect_nodal:
+        traces = {v: NodalTrace(cfg.mu[v], d_in[v], d_out[v]) for v in graph.nodes}
     s_next = step_system(s, graph, cfg.controls, cfg.mu, node_outs=s_out)
     r_next = step_system(r, graph, cfg.controls, cfg.mu, node_outs=r_out)
     return CoupledState(s_next, r_next, cfg), traces
@@ -193,8 +181,7 @@ def direct_diff_step(
 ) -> SimState:
     """Advance the error system delta = R - S directly by one tick.
 
-    Node maps: delta_out = mu * delta_in at boundary nodes and the
-    diff junction map at interior nodes.  The friction source
+    Node maps: `error_node_outputs`.  The friction source
     sigma(delta + S) - sigma(S) is applied by the same implicit split,
     solving for the new delta with the truth difference frozen at its
     post-step value; `s_new` must therefore be the truth state already
@@ -212,16 +199,7 @@ def direct_diff_step(
                 "truth state must already be advanced by one step "
                 f"(got {s_new.step_index}, expected {d_state.step_index + 1})"
             )
-    d_in = gather_node_inputs(d_state, graph)
-    outs: Dict[NodeId, Dict[PipeId, float]] = {}
-    for v, incoming in d_in.items():
-        m = mu[v]
-        if abs(m) > 1.0:
-            raise ValidationError(f"mu at node {v!r} is {m}, outside [-1, 1]")
-        if len(incoming) == 1:
-            outs[v] = {e: m * d for e, d in incoming.items()}
-        else:
-            outs[v] = diff_junction_outflow(incoming, graph.diameters_at(v), m)
+    outs = error_node_outputs(graph, gather_node_inputs(d_state, graph), mu)
 
     def shifted_friction(p: PipeSpec, g: EdgeGrid):
         sg = s_new.grids[p.id]

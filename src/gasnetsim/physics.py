@@ -229,29 +229,6 @@ def pressure_from_riemann(law: PressureLaw, r_plus: float, r_minus: float) -> fl
     return float(law.pressure(law.rtilde_inverse(mid)))
 
 
-def source_sigma(nu: float, r_plus: ArrayLike, r_minus: ArrayLike) -> ArrayLike:
-    """Friction source nu * |R+ - R-| * (R+ - R-)."""
-    if nu < 0:
-        raise ValidationError("source_sigma needs nu >= 0")
-    d = np.asarray(r_plus, dtype=float) - np.asarray(r_minus, dtype=float)
-    out = nu * np.abs(d) * d
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def quasilinear_eigenvalues(
-    law: PressureLaw, r_plus: float, r_minus: float
-) -> Tuple[float, float]:
-    """Diagnostic eigenvalues (v + sqrt(p'(rho)), v - sqrt(p'(rho))).
-
-    These are the characteristic speeds of the quasilinear system before the
-    constant-speed simplification; at the reference state they reduce to +-c.
-    """
-    mid = (r_plus + r_minus) / 2.0
-    v = (r_plus - r_minus) / 2.0
-    s = math.sqrt(float(law.dpressure(law.rtilde_inverse(mid))))
-    return v + s, v - s
-
-
 def mach_number(law: PressureLaw, r_plus: float, r_minus: float) -> float:
     """v / c with v from the invariants and c the reference sound speed."""
     return (r_plus - r_minus) / 2.0 / law.sound_speed()

@@ -46,9 +46,9 @@ class Assembled:
     r_state: SimState
 
 
-def default_dt(graph: NetworkGraph, c: float, min_cells: int = 8) -> float:
-    """Time step giving the shortest pipe at least `min_cells` cells."""
-    return min(p.length for p in graph.pipes) / (min_cells * c)
+def default_dt(graph: NetworkGraph, c: float) -> float:
+    """Time step giving the shortest pipe at least 8 cells."""
+    return min(p.length for p in graph.pipes) / (8 * c)
 
 
 def assemble(graph: NetworkGraph, scenario: ScenarioSpec) -> Assembled:
@@ -99,7 +99,6 @@ class RunResult:
     m_tilde: float
     b_tilde: float
     snapshots: List[SnapshotFrame]
-    final: CoupledState
     graph: NetworkGraph
 
     @property
@@ -107,9 +106,9 @@ class RunResult:
         return self.series.sync_time()
 
 
-def _check_finite(l0_value: float, t: float) -> None:
-    if not math.isfinite(l0_value):
-        raise NumericalError(f"simulation blew up: L0 is not finite at t={t}")
+def _snapshot_steps(times: Sequence[float], dt: float, n: int) -> List[int]:
+    """The steps nearest to `times`, each time first clamped to [0, n dt]."""
+    return sorted({round(min(max(t, 0.0), n * dt) / dt) for t in times})
 
 
 def _check_state_finite(state: SimState) -> None:
@@ -137,7 +136,7 @@ def run_observer_pair(
     asm = assemble(graph, scenario)
     cs = CoupledState(asm.s_state, asm.r_state, asm.config)
     n = asm.n_steps
-    snap_steps = sorted({min(n, max(0, round(t / asm.dt))) for t in snapshot_times})
+    snap_steps = _snapshot_steps(snapshot_times, asm.dt, n)
     times = np.empty(n + 1)
     l0 = np.empty(n + 1)
     l1 = np.empty(n) if record_l1 else None
@@ -166,7 +165,8 @@ def run_observer_pair(
         delta = difference_state(cs.r_state, cs.s_state)
         times[k] = cs.t
         l0[k] = lyapunov_l0(delta.grids, asm.graph)
-        _check_finite(l0[k], cs.t)
+        if not math.isfinite(l0[k]):
+            raise NumericalError(f"simulation blew up: L0 is not finite at t={cs.t}")
         if l1 is not None:
             l1[k - 1] = lyapunov_l1(prev_delta.grids, delta.grids, asm.graph, asm.dt)
         prev_delta = delta
@@ -181,7 +181,6 @@ def run_observer_pair(
         m_tilde=tracker.m_tilde,
         b_tilde=tracker.b_tilde,
         snapshots=snapshots,
-        final=cs,
         graph=asm.graph,
     )
 
@@ -190,11 +189,11 @@ def run_truth(
     graph: NetworkGraph,
     scenario: ScenarioSpec,
     snapshot_times: Sequence[float] = (),
-) -> Tuple[SimState, List[SnapshotFrame], NetworkGraph]:
+) -> Tuple[SimState, List[SnapshotFrame]]:
     """Advance the truth system alone; returns final state and snapshots."""
     asm = assemble(graph, scenario)
     state = asm.s_state
-    snap_steps = sorted({min(asm.n_steps, max(0, round(t / asm.dt))) for t in snapshot_times})
+    snap_steps = _snapshot_steps(snapshot_times, asm.dt, asm.n_steps)
     snapshots: List[SnapshotFrame] = []
     if 0 in snap_steps:
         snapshots.append(SnapshotFrame.from_state(state))
@@ -204,4 +203,4 @@ def run_truth(
             _check_state_finite(state)
             snapshots.append(SnapshotFrame.from_state(state))
     _check_state_finite(state)
-    return state, snapshots, asm.graph
+    return state, snapshots

@@ -52,9 +52,6 @@ class EdgeGrid:
     def cell_centers(self) -> np.ndarray:
         return (np.arange(self.n_cells) + 0.5) * self.dx
 
-    def copy(self) -> "EdgeGrid":
-        return replace(self, r_plus=self.r_plus.copy(), r_minus=self.r_minus.copy())
-
 
 @dataclass
 class SimState:

@@ -190,3 +190,13 @@ def test_bound_inputs_from_graph(five_pipe):
     assert bi.nu_max == pytest.approx(0.0137 / 4.0)
     with pytest.raises(ValidationError):
         BoundInputs.from_graph(net, c=340.0, t_horizon=60.0, m=-1.0)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [{"m": math.nan}, {"m": math.inf}, {"m_tilde": math.nan}, {"m_tilde": math.inf},
+     {"b_tilde": math.nan}, {"b_tilde": math.inf}],
+)
+def test_bound_inputs_reject_non_finite(five_pipe, bounds):
+    with pytest.raises(ValidationError):
+        BoundInputs.from_graph(five_pipe, c=340.0, t_horizon=60.0, **{"m": 1.0, **bounds})

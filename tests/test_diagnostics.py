@@ -10,7 +10,6 @@ from gasnetsim.diagnostics import (
     SnapshotFrame,
     fit_decay_rate,
     lyapunov_l0,
-    lyapunov_l0_per_edge,
     lyapunov_l1,
     nodal_energy_residual,
 )
@@ -47,8 +46,12 @@ def test_l0_additivity(five_pipe):
     for g in grids.values():
         g.r_plus[:] = rng.uniform(-1, 1, g.n_cells)
         g.r_minus[:] = rng.uniform(-1, 1, g.n_cells)
-    per_edge = lyapunov_l0_per_edge(grids, five_pipe)
-    assert lyapunov_l0(grids, five_pipe) == sum(per_edge.values())
+    per_edge = [lyapunov_l0({p.id: grids[p.id]}, NetworkGraph([p])) for p in five_pipe.pipes]
+    assert lyapunov_l0(grids, five_pipe) == sum(per_edge)
+    for p, l0 in zip(five_pipe.pipes, per_edge):
+        g = grids[p.id]
+        ssq = np.sum(g.r_plus**2) + np.sum(g.r_minus**2)
+        assert l0 == pytest.approx(0.5 * p.diameter**2 * g.dx * ssq, rel=1e-13)
 
 
 def test_l0_quadrature_richardson():
@@ -167,9 +170,7 @@ def test_regularity_bounds_constant_difference():
     net, grids = unit_pipe_grid(fill_plus=2.0, fill_minus=-1.0)  # |S+ - S-| = 3
     tracker = RegularityTracker()
     for i in range(3):
-        tracker.observe(
-            SimState(grids={k: g.copy() for k, g in grids.items()}, dt=0.5, step_index=i)
-        )
+        tracker.observe(SimState(grids=dict(grids), dt=0.5, step_index=i))
     assert tracker.m_tilde >= 3.0
     assert tracker.b_tilde == 0.0
 

@@ -14,13 +14,11 @@ from gasnetsim.fileio import (
     BoundaryPoint,
     InitialCondition,
     bundled_path,
-    eval_boundary_schedule,
-    interp_schedule,
+    make_boundary_control,
     parse_network,
     parse_network_file,
     parse_scenario,
     parse_scenario_file,
-    serialize_network,
 )
 from gasnetsim.physics import IsothermalLaw
 from gasnetsim.cli import run_cli
@@ -60,7 +58,7 @@ def test_parse_minimal_native():
     g = parse_network(MINIMAL_NET)
     assert len(g.pipes) == 1
     assert g.boundary_nodes == ("a", "b")
-    p = g.pipe("p")
+    p = {p.id: p for p in g.pipes}["p"]
     assert p.length == 1000.0 and p.diameter == 0.5 and p.theta == 0.0
 
 
@@ -81,31 +79,20 @@ def test_parse_native_rejects_stray_node():
         parse_network("node a\nnode z\npipe p a b 10 0.5")
 
 
-def test_native_round_trip_is_field_exact():
-    g = parse_network_file(bundled_path("gaslib40_like.net"))
-    text = serialize_network(g)
-    g2 = parse_network(text)
-    assert g2.nodes == g.nodes
-    assert g2.pipes == g.pipes
-    # serialization is idempotent
-    assert serialize_network(g2) == text
-
-
 def test_round_trip_preserves_theta():
-    g = parse_network("pipe p a b 1000.5 0.5 0.0137")
-    assert g.pipe("p").theta == 0.0137
-    g2 = parse_network(serialize_network(g))
-    assert g2.pipes == g.pipes
+    p = PipeSpec("p", "a", "b", 1000.5, 0.5, 0.0137)
+    g = parse_network(f"pipe p a b {p.length!r} {p.diameter!r} {p.theta!r}")
+    assert g.pipes == (p,)
 
 
 def test_parse_gaslib_subset_units():
     g = parse_network(GASLIB_XML)
     assert len(g.pipes) == 2
-    e1 = g.pipe("e1")
-    assert e1.length == 3068.0  # 3.068 km exactly
-    assert e1.diameter == 0.4  # 400 mm exactly
-    assert g.pipe("e2").length == 500.0
-    assert g.pipe("e2").diameter == 1.0
+    pipes = {p.id: p for p in g.pipes}
+    assert pipes["e1"].length == 3068.0  # 3.068 km exactly
+    assert pipes["e1"].diameter == 0.4  # 400 mm exactly
+    assert pipes["e2"].length == 500.0
+    assert pipes["e2"].diameter == 1.0
 
 
 def test_parse_gaslib_rejects_compressor():
@@ -146,8 +133,7 @@ def test_bundled_network_matches_benchmark_ranges():
     assert all(3068.0 <= l <= 86690.0 for l in lengths)
     assert all(0.4 <= d <= 1.0 for d in diams)
     assert {"0", "1", "2"} <= set(g.boundary_nodes)
-    for pid in ("12-16", "22-27", "27-28"):
-        g.pipe(pid)
+    assert {"12-16", "22-27", "27-28"} <= {p.id for p in g.pipes}
 
 
 def test_scenario_defaults():
@@ -241,20 +227,25 @@ def test_schedule_interpolation_benchmark_points():
         BoundaryPoint(100.0, 60.5, 41.788),
         BoundaryPoint(200.0, 60.0, 41.788),
     )
-    assert interp_schedule(points, 0.0)[0] == 59.5
-    assert interp_schedule(points, 100.0)[0] == 60.5
-    assert interp_schedule(points, 200.0)[0] == 60.0
-    assert interp_schedule(points, 1e4)[0] == 60.0
-    assert interp_schedule(points, 50.0)[0] == pytest.approx(60.0, rel=1e-14)
+    pipe = PipeSpec("p", "a", "b", 1000.0, 0.5)
+    control = make_boundary_control(points, pipe, IsothermalLaw(c=340.0))
+
+    def u_at(p_bar):
+        rho = p_bar * BAR / 340.0**2
+        return 340.0 * math.log(rho) + 41.788 / (rho * pipe.area)
+
+    for t, p_bar in ((0.0, 59.5), (100.0, 60.5), (200.0, 60.0), (50.0, 60.0)):
+        assert control(t) == pytest.approx(u_at(p_bar), rel=1e-14)
+    assert control(1e4) == control(200.0)  # the last value is held
     with pytest.raises(ScheduleError):
-        interp_schedule(points, -1.0)
+        control(-1.0)
 
 
 def test_boundary_invariant_conversion():
     pipe = PipeSpec("p", "a", "b", 1000.0, 0.5)
     law = IsothermalLaw(c=340.0)
     points = (BoundaryPoint(0.0, 60.0, 41.788),)
-    u = eval_boundary_schedule(points, 0.0, pipe, law)
+    u = make_boundary_control(points, pipe, law)(0.0)
     rho = 60.0e5 / 340.0**2
     expected = 340.0 * math.log(rho) + 41.788 / (rho * math.pi * 0.5**2 / 4.0)
     assert u == pytest.approx(expected, rel=1e-14)
@@ -449,6 +440,44 @@ def test_cli_observe_bad_fit_window_writes_nothing(tmp_path, capsys):
     assert code == 2
     assert "--fit-window" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("observe", ["--snapshots", "1,,2"]),
+        ("observe", ["--fit-window", "a,b"]),
+        ("snapshot", ["--times", "x"]),
+        ("simulate", ["--snapshots", "1,,2"]),
+        ("observe", ["--snapshots", "nan"]),
+        ("simulate", ["--snapshots", "nan"]),
+        ("observe", ["--snapshots", "inf"]),
+        ("simulate", ["--snapshots", "0,-inf"]),
+        ("observe", ["--residual-stride", "-3"]),
+        ("certify", ["--amplitude-bound", "nan"]),
+        ("certify", ["--m-tilde", "inf", "--b-tilde", "1"]),
+        ("certify", ["--m-tilde", "0.5"]),
+        ("certify", ["--b-tilde", "0.5"]),
+    ],
+)
+def test_cli_bad_option_exits_2_and_writes_nothing(tmp_path, capsys, command, extra):
+    net, scn = _write_small_inputs(tmp_path)
+    out = tmp_path / "out"
+    code = run_cli([command, "--network", str(net), "--scenario", str(scn), "--out", str(out),
+                    *extra])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
+def test_cli_snapshot_beyond_horizon_lands_on_last_step(tmp_path):
+    net, scn = _write_small_inputs(tmp_path)
+    out = tmp_path / "out"
+    code = run_cli(["simulate", "--network", str(net), "--scenario", str(scn),
+                    "--out", str(out), "--snapshots", "1e308"])
+    assert code == 0
+    assert [p.name for p in (out / "snapshots").iterdir()] == ["t_6.csv"]
 
 
 def test_cli_import_leaves_scipy_unloaded():

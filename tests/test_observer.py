@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gasnetsim.bounds import upsilon0
 from gasnetsim.diagnostics import lyapunov_l0, nodal_energy_residual
 from gasnetsim.errors import ConfigurationError, ValidationError
 from gasnetsim.fileio import InitialCondition, ScenarioSpec
@@ -11,12 +14,24 @@ from gasnetsim.observer import (
     ObserverConfig,
     difference_state,
     direct_diff_step,
-    measure_nodal,
     observer_node_update,
     step_coupled,
 )
 from gasnetsim.run import assemble
-from gasnetsim.solver import SimState, build_grids, gather_node_inputs, step_system
+from gasnetsim.solver import (
+    SimState,
+    build_grids,
+    control_values,
+    gather_node_inputs,
+    node_outputs,
+    step_system,
+)
+
+
+def copy_grids(grids):
+    return {
+        k: replace(g, r_plus=g.r_plus.copy(), r_minus=g.r_minus.copy()) for k, g in grids.items()
+    }
 
 
 def test_observer_config_validates_mu():
@@ -27,39 +42,31 @@ def test_observer_config_validates_mu():
 
 
 def test_decay_eligibility(five_pipe):
-    full = ObserverConfig(mu={v: 0.0 for v in five_pipe.nodes})
-    assert full.decay_eligible(five_pipe)
-    blocked = ObserverConfig(mu={v: 1.0 for v in five_pipe.nodes})
-    assert not blocked.decay_eligible(five_pipe)
+    # a decay certificate needs upsilon0 > 0: every pipe has an end with |mu| < 1
+    assert upsilon0(five_pipe, {v: 0.0 for v in five_pipe.nodes}) > 0
+    assert upsilon0(five_pipe, {v: 1.0 for v in five_pipe.nodes}) == 0
     # p4 runs n3 -> n5; closing both endpoints blocks only that pipe
     mixed = {v: 0.0 for v in five_pipe.nodes}
     mixed["n3"] = 1.0
     mixed["n5"] = -1.0
-    assert not ObserverConfig(mu=mixed).decay_eligible(five_pipe)
+    assert upsilon0(five_pipe, mixed) == 0
 
 
 def test_measure_nodal_conventions(single_pipe):
+    # the observer measures the truth's incoming invariants at every node
     grids = build_grids(single_pipe, 340.0, 0.375)
     g = grids["p"]
     g.r_plus[:] = np.arange(g.n_cells, dtype=float)
     g.r_minus[:] = -np.arange(g.n_cells, dtype=float)
-    state = SimState(grids=grids, dt=0.375)
-    meas = measure_nodal(state, single_pipe)
-    s_in_b, s_out_b = meas["b"]
-    assert s_in_b["p"] == g.r_plus[-1]  # incoming at the x=L end is R+
-    assert s_out_b is None
-    s_in_a, _ = meas["a"]
-    assert s_in_a["p"] == g.r_minus[0]  # incoming at the x=0 end is R-
+    meas = gather_node_inputs(SimState(grids=grids, dt=0.375), single_pipe)
+    assert meas["b"] == {"p": g.r_plus[-1]}  # incoming at the x=L end is R+
+    assert meas["a"] == {"p": g.r_minus[0]}  # incoming at the x=0 end is R-
 
 
 def test_measure_nodal_zero_state(five_pipe):
     grids = build_grids(five_pipe, 340.0, 0.5)
-    state = SimState(grids=grids, dt=0.5)
-    meas = measure_nodal(state, five_pipe)
-    for v, (s_in, s_out) in meas.items():
-        assert all(x == 0.0 for x in s_in.values())
-        if s_out is not None:
-            assert all(x == 0.0 for x in s_out.values())
+    meas = gather_node_inputs(SimState(grids=grids, dt=0.5), five_pipe)
+    assert all(x == 0.0 for incoming in meas.values() for x in incoming.values())
 
 
 def test_measure_nodal_interior_out_is_junction_map(five_pipe):
@@ -68,13 +75,11 @@ def test_measure_nodal_interior_out_is_junction_map(five_pipe):
     for g in grids.values():
         g.r_plus[:] = rng.uniform(-1, 1, g.n_cells)
         g.r_minus[:] = rng.uniform(-1, 1, g.n_cells)
-    state = SimState(grids=grids, dt=0.5)
-    meas = measure_nodal(state, five_pipe)
-    ins = gather_node_inputs(state, five_pipe)
+    ins = gather_node_inputs(SimState(grids=grids, dt=0.5), five_pipe)
+    u = control_values(five_pipe, {v: (lambda t: 0.0) for v in five_pipe.boundary_nodes}, 0.0)
+    outs = node_outputs(five_pipe, ins, u, {v: 0.5 for v in five_pipe.nodes})
     for v in ("n2", "n3"):
-        s_in, s_out = meas[v]
-        assert s_in == ins[v]
-        assert s_out == junction_outflow(ins[v], five_pipe.diameters_at(v))
+        assert outs[v] == junction_outflow(ins[v], five_pipe.diameters_at(v))
 
 
 def test_observer_update_mu_zero_copies_truth():
@@ -232,8 +237,8 @@ def test_direct_diff_zero_truth_matches_plain_system(star_graph):
     for g in grids.values():
         g.r_plus[:] = rng.uniform(-1, 1, g.n_cells)
         g.r_minus[:] = rng.uniform(-1, 1, g.n_cells)
-    d_state = SimState(grids={k: g.copy() for k, g in grids.items()}, dt=0.25)
-    s_state = SimState(grids={k: g.copy() for k, g in grids.items()}, dt=0.25)
+    d_state = SimState(grids=copy_grids(grids), dt=0.25)
+    s_state = SimState(grids=copy_grids(grids), dt=0.25)
     zero_truth = SimState(grids=build_grids(net, 340.0, 0.25), dt=0.25, step_index=1)
     d_next = direct_diff_step(d_state, net, mu, s_new=zero_truth)
     controls = {v: (lambda t: 0.0) for v in net.boundary_nodes}
@@ -253,6 +258,12 @@ def test_direct_diff_boundary_mu_zero_absorbs(single_pipe):
     d = direct_diff_step(d, single_pipe, mu)
     assert d.grids["p"].r_plus[0] == 0.0
     assert d.grids["p"].r_minus[-1] == 0.0
+
+
+def test_direct_diff_rejects_boundary_mu_outside_unit_interval(single_pipe):
+    d = SimState(grids=build_grids(single_pipe, 340.0, 0.375), dt=0.375)
+    with pytest.raises(ValidationError, match="node 'b'"):
+        direct_diff_step(d, single_pipe, {"a": 0.0, "b": 1.5})
 
 
 def test_direct_diff_requires_truth_with_friction(single_pipe):
@@ -329,7 +340,7 @@ def test_l1_decays_for_continuous_error(five_pipe):
 def test_coupled_state_validation(five_pipe):
     grids = build_grids(five_pipe, 340.0, 0.5)
     a = SimState(grids=grids, dt=0.5)
-    b = SimState(grids={k: g.copy() for k, g in grids.items()}, dt=0.25)
+    b = SimState(grids=copy_grids(grids), dt=0.25)
     with pytest.raises(ConfigurationError):
         CoupledState(a, b, ObserverConfig(mu={v: 0.0 for v in five_pipe.nodes}))
 

@@ -12,9 +12,7 @@ from gasnetsim.physics import (
     IsothermalLaw,
     mach_number,
     pressure_from_riemann,
-    quasilinear_eigenvalues,
     riemann_from_state,
-    source_sigma,
     state_from_riemann,
 )
 
@@ -169,51 +167,9 @@ def test_pressure_positive(rp, rm):
     assert pressure_from_riemann(law, rp, rm) > 0.0
 
 
-def test_source_sigma_values():
-    assert source_sigma(0.25, 2.0, 1.0) == 0.25
-    assert source_sigma(0.0137 / 4.0, 0.0, 0.0) == 0.0
-    # numeric value of nu for the benchmark friction coefficient
-    assert 0.0137 / 4.0 == pytest.approx(0.003425, rel=1e-15)
-
-
-@given(st.floats(-50, 50), st.floats(-50, 50), st.floats(0, 1))
-def test_source_sigma_antisymmetric_and_dissipative(a, b, nu):
-    s_ab = source_sigma(nu, a, b)
-    s_ba = source_sigma(nu, b, a)
-    assert s_ab == pytest.approx(-s_ba, rel=1e-14, abs=1e-300)
-    assert s_ab * (a - b) >= 0.0
-
-
-def test_source_sigma_rejects_negative_nu():
-    with pytest.raises(ValidationError):
-        source_sigma(-0.1, 1.0, 0.0)
-
-
-def test_eigenvalues_zero_velocity():
-    law = IsentropicLaw(a=1.0, gamma=2.0)
-    lp, lm = quasilinear_eigenvalues(law, 0.5, 0.5)
-    rho = float(law.rtilde_inverse(0.5))
-    s = math.sqrt(float(law.dpressure(rho)))
-    assert lp == pytest.approx(s, rel=1e-13)
-    assert lm == pytest.approx(-s, rel=1e-13)
-
-
-def test_eigenvalues_isothermal_shift():
+def test_mach_number_isothermal():
     law = IsothermalLaw(c=340.0)
-    lp, lm = quasilinear_eigenvalues(law, 10.0, 4.0)
-    v = 3.0
-    assert lp == pytest.approx(v + 340.0, rel=1e-14)
-    assert lm == pytest.approx(v - 340.0, rel=1e-14)
-    assert mach_number(law, 10.0, 4.0) == pytest.approx(v / 340.0, rel=1e-14)
-
-
-@pytest.mark.parametrize("law", LAWS, ids=lambda l: type(l).__name__ + "_" + repr(l)[:24])
-def test_eigenvalues_reference_state(law):
-    rp, rm = riemann_from_state(law, law.rho_ref, 0.0)
-    lp, lm = quasilinear_eigenvalues(law, rp, rm)
-    c = law.sound_speed()
-    assert lp == pytest.approx(c, rel=1e-12)
-    assert lm == pytest.approx(-c, rel=1e-12)
+    assert mach_number(law, 10.0, 4.0) == pytest.approx(3.0 / 340.0, rel=1e-14)
 
 
 def test_gas_state_validation():
