@@ -16,6 +16,12 @@ from .errors import ValidationError
 from .network import NetworkGraph, NodeId
 
 
+def check_amplitude_bound(m: float) -> None:
+    """Reject an amplitude bound M that is not finite and positive."""
+    if not (math.isfinite(m) and m > 0):
+        raise ValidationError(f"amplitude bound m must be finite and positive, got {m}")
+
+
 @dataclass(frozen=True)
 class BoundInputs:
     """Scalar inputs consumed by the certificate calculators.
@@ -35,8 +41,7 @@ class BoundInputs:
     c: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.m) and self.m > 0):
-            raise ValidationError(f"amplitude bound m must be finite and positive, got {self.m}")
+        check_amplitude_bound(self.m)
         if not all(math.isfinite(x) and x >= 0 for x in (self.m_tilde, self.b_tilde)):
             raise ValidationError("m_tilde and b_tilde must be finite and nonnegative")
         if self.t0_min > self.t0_max:

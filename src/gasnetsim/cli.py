@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bounds import BoundInputs, decay_certificates, wellposedness_constants
+from .bounds import BoundInputs, check_amplitude_bound, decay_certificates, wellposedness_constants
 from .diagnostics import SnapshotFrame, fit_decay_rate
 from .errors import NumericalError, ValidationError
 from .fileio import BAR, parse_network_file, parse_scenario_file
@@ -180,6 +180,7 @@ def _cmd_certify(args) -> int:
     mu = scenario.resolve_mu(eff_graph)
     if (args.m_tilde is None) != (args.b_tilde is None):
         raise ValidationError("--m-tilde and --b-tilde must be given together")
+    check_amplitude_bound(args.amplitude_bound)
     if args.m_tilde is not None:
         m_tilde, b_tilde = args.m_tilde, args.b_tilde
         source = "supplied"

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -75,6 +75,12 @@ def lyapunov_l0(delta_grids: Mapping[PipeId, EdgeGrid], graph: NetworkGraph) -> 
     return sum(terms)
 
 
+def _pack(grids: Iterable[EdgeGrid]) -> Tuple[np.ndarray, np.ndarray]:
+    """R+ and R- of all `grids`, each concatenated in the order given."""
+    grids = list(grids)
+    return np.concatenate([g.r_plus for g in grids]), np.concatenate([g.r_minus for g in grids])
+
+
 def lyapunov_l1(
     prev_grids: Mapping[PipeId, EdgeGrid],
     next_grids: Mapping[PipeId, EdgeGrid],
@@ -90,12 +96,19 @@ def lyapunov_l1(
         raise ValidationError("lyapunov_l1 needs two consecutive frames")
     if not dt > 0:
         raise ValidationError("lyapunov_l1 needs dt > 0")
+    p0, m0 = _pack(prev_grids[p.id] for p in graph.pipes)
+    p1, m1 = _pack(next_grids[p.id] for p in graph.pipes)
+    qp, qm = (p1 - p0) / dt, (m1 - m0) / dt
+    # One dot per pipe and field, summed in pipe order: the rounding of the
+    # per-pipe formula, so L1 does not depend on the packing.
     total = 0.0
+    start = 0
     for p in graph.pipes:
-        g0, g1 = prev_grids[p.id], next_grids[p.id]
-        qp = (g1.r_plus - g0.r_plus) / dt
-        qm = (g1.r_minus - g0.r_minus) / dt
-        total += 0.5 * p.diameter ** 2 * g0.dx * float(np.dot(qp, qp) + np.dot(qm, qm))
+        g0 = prev_grids[p.id]
+        end = start + g0.n_cells
+        a, b = qp[start:end], qm[start:end]
+        total += 0.5 * p.diameter ** 2 * g0.dx * float(np.dot(a, a) + np.dot(b, b))
+        start = end
     return total
 
 
@@ -157,28 +170,25 @@ class RegularityTracker:
 
     Feeds the observability constants: m_tilde bounds |S+ - S-| and
     |R+ - R-| over the run, b_tilde bounds the difference quotient of
-    (S+ - S-) between consecutive steps.
+    (S+ - S-) between consecutive steps (their grids in the same order).
     """
 
     def __init__(self) -> None:
         self.m_tilde = 0.0
         self.b_tilde = 0.0
-        self._prev: Optional[Dict[PipeId, np.ndarray]] = None
-        self._prev_dt: Optional[float] = None
+        self._prev: Optional[np.ndarray] = None
 
     def observe(self, s_state: SimState, r_state: Optional[SimState] = None) -> None:
-        current: Dict[PipeId, np.ndarray] = {}
-        for pid, g in s_state.grids.items():
-            ds = g.r_plus - g.r_minus
-            current[pid] = ds
-            m = float(np.max(np.abs(ds))) if ds.size else 0.0
-            if r_state is not None:
-                rg = r_state.grids[pid]
-                dr = rg.r_plus - rg.r_minus
-                m = max(m, float(np.max(np.abs(dr))) if dr.size else 0.0)
-            self.m_tilde = max(self.m_tilde, m)
+        # One array per system, pipes in grid order: the maxima are taken
+        # over the same values as pipe by pipe, and max(x)/dt == max(x/dt).
+        plus, minus = _pack(s_state.grids.values())
+        ds = plus - minus
+        m = float(np.max(np.abs(ds)))
+        if r_state is not None:
+            plus, minus = _pack(r_state.grids.values())
+            m = max(m, float(np.max(np.abs(plus - minus))))
+        self.m_tilde = max(self.m_tilde, m)
         if self._prev is not None:
-            for pid, ds in current.items():
-                quot = np.max(np.abs(ds - self._prev[pid])) / s_state.dt
-                self.b_tilde = max(self.b_tilde, float(quot))
-        self._prev = current
+            quot = np.max(np.abs(ds - self._prev)) / s_state.dt
+            self.b_tilde = max(self.b_tilde, float(quot))
+        self._prev = ds

@@ -237,13 +237,13 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.mu_preset not in ("uniform", "mixed"):
             raise ValidationError(f"unknown mu preset {self.mu_preset!r}")
-        if abs(self.mu_uniform) > 1.0:
+        if not abs(self.mu_uniform) <= 1.0:
             raise ValidationError("uniform mu must lie in [-1, 1]")
         for v, m in self.mu_overrides.items():
-            if abs(m) > 1.0:
+            if not abs(m) <= 1.0:
                 raise ValidationError(f"mu override at {v!r} outside [-1, 1]")
-        if self.theta < 0:
-            raise ValidationError("theta must be nonnegative")
+        if not 0 <= self.theta < math.inf:
+            raise ValidationError(f"theta must be finite and nonnegative, got {self.theta}")
         for points in list(self.boundary.values()) + (
             [self.boundary_default] if self.boundary_default else []
         ):
@@ -304,7 +304,7 @@ def _check_schedule(points: Sequence[BoundaryPoint]) -> None:
     if any(t1 <= t0 for t0, t1 in zip(ts, ts[1:])):
         raise ValidationError(f"schedule breakpoints must be strictly increasing, got {ts}")
     for p in points:
-        if not (math.isfinite(p.p_bar) and math.isfinite(p.m_kg_s)) or p.p_bar <= 0:
+        if not all(map(math.isfinite, (p.t, p.p_bar, p.m_kg_s))) or p.p_bar <= 0:
             raise ValidationError(f"bad schedule breakpoint {p}")
 
 
@@ -408,8 +408,8 @@ def _parse_law_line(spec: ScenarioSpec, parts: Sequence[str]) -> ScenarioSpec:
 
 def _positive(parts: Sequence[str], i: int) -> float:
     val = float(parts[i])
-    if not val > 0:
-        raise ValidationError(f"value must be positive, got {val}")
+    if not 0 < val < math.inf:
+        raise ValidationError(f"value must be finite and positive, got {val}")
     return val
 
 

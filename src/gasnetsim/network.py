@@ -7,6 +7,7 @@ coincide with the direction of the flow.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
@@ -31,12 +32,12 @@ class PipeSpec:
     def __post_init__(self) -> None:
         if self.from_node == self.to_node:
             raise ValidationError(f"pipe {self.id!r}: from_node equals to_node")
-        if not self.length > 0:
-            raise ValidationError(f"pipe {self.id!r}: length must be positive")
-        if not self.diameter > 0:
-            raise ValidationError(f"pipe {self.id!r}: diameter must be positive")
-        if self.theta < 0:
-            raise ValidationError(f"pipe {self.id!r}: theta must be nonnegative")
+        if not 0 < self.length < math.inf:
+            raise ValidationError(f"pipe {self.id!r}: length must be finite and positive")
+        if not 0 < self.diameter < math.inf:
+            raise ValidationError(f"pipe {self.id!r}: diameter must be finite and positive")
+        if not 0 <= self.theta < math.inf:
+            raise ValidationError(f"pipe {self.id!r}: theta must be finite and nonnegative")
 
     @property
     def nu(self) -> float:
@@ -46,8 +47,6 @@ class PipeSpec:
     @property
     def area(self) -> float:
         """Cross section pi D^2 / 4 in m^2."""
-        import math
-
         return math.pi * self.diameter ** 2 / 4.0
 
 

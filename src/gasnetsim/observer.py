@@ -8,7 +8,7 @@ measurement injection, mu = 1: no measurement used).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import ConfigurationError, ValidationError
@@ -216,7 +216,8 @@ def difference_state(r_state: SimState, s_state: SimState) -> SimState:
     grids: Dict[PipeId, EdgeGrid] = {}
     for pid, rg in r_state.grids.items():
         sg = s_state.grids[pid]
-        grids[pid] = replace(
-            rg, r_plus=rg.r_plus - sg.r_plus, r_minus=rg.r_minus - sg.r_minus
+        grids[pid] = EdgeGrid(
+            rg.pipe, rg.n_cells, rg.dx, rg.cfl, rg.r_plus - sg.r_plus, rg.r_minus - sg.r_minus,
+            rg.length_perturbation,
         )
     return SimState(grids=grids, dt=r_state.dt, step_index=r_state.step_index)

@@ -10,7 +10,7 @@ tolerances anywhere in the kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -142,7 +142,9 @@ def advect_step(grid: EdgeGrid, inflow_plus: float, inflow_minus: float) -> Edge
         new_m[:-1] = m[1:]
         new_m *= lam
         new_m += (1.0 - lam) * m
-    return replace(grid, r_plus=new_p, r_minus=new_m)
+    return EdgeGrid(
+        grid.pipe, grid.n_cells, grid.dx, lam, new_p, new_m, grid.length_perturbation
+    )
 
 
 def friction_root(d_star: Union[float, np.ndarray], a: float) -> Union[float, np.ndarray]:

@@ -175,6 +175,69 @@ def test_regularity_bounds_constant_difference():
     assert tracker.b_tilde == 0.0
 
 
+def _per_pipe_l1(prev_grids, next_grids, graph, dt):
+    # Reference: lyapunov_l1 computed one pipe at a time.
+    total = 0.0
+    for p in graph.pipes:
+        g0, g1 = prev_grids[p.id], next_grids[p.id]
+        qp = (g1.r_plus - g0.r_plus) / dt
+        qm = (g1.r_minus - g0.r_minus) / dt
+        total += 0.5 * p.diameter ** 2 * g0.dx * float(np.dot(qp, qp) + np.dot(qm, qm))
+    return total
+
+
+def _per_pipe_regularity(s_frames, r_frames):
+    # Reference: RegularityTracker.observe computed one pipe at a time.
+    m_tilde = b_tilde = 0.0
+    prev = None
+    for s_state, r_state in zip(s_frames, r_frames):
+        current = {}
+        for pid, g in s_state.grids.items():
+            ds = g.r_plus - g.r_minus
+            current[pid] = ds
+            rg = r_state.grids[pid]
+            m = max(float(np.max(np.abs(ds))), float(np.max(np.abs(rg.r_plus - rg.r_minus))))
+            m_tilde = max(m_tilde, m)
+        if prev is not None:
+            for pid, ds in current.items():
+                b_tilde = max(b_tilde, float(np.max(np.abs(ds - prev[pid])) / s_state.dt))
+        prev = current
+    return m_tilde, b_tilde
+
+
+@given(
+    cells=st.lists(st.integers(2, 40), min_size=1, max_size=6),
+    n_frames=st.integers(2, 5),
+    dt=st.floats(1e-3, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_packed_diagnostics_equal_per_pipe_loops(cells, n_frames, dt, seed):
+    rng = np.random.default_rng(seed)
+    graph = NetworkGraph([
+        PipeSpec(f"p{i}", f"n{i}", f"n{i + 1}", 100.0 * n, rng.uniform(0.3, 1.2))
+        for i, n in enumerate(cells)
+    ])
+
+    def frame(step):
+        grids = {}
+        for p, n in zip(graph.pipes, cells):
+            scale = 10.0 ** rng.uniform(-3, 3)
+            grids[p.id] = EdgeGrid(p.id, n, 100.0, 1.0, scale * rng.standard_normal(n),
+                                   scale * rng.standard_normal(n))
+        return SimState(grids=grids, dt=dt, step_index=step)
+
+    s_frames = [frame(k) for k in range(n_frames)]
+    r_frames = [frame(k) for k in range(n_frames)]
+    tracker = RegularityTracker()
+    for s_state, r_state in zip(s_frames, r_frames):
+        tracker.observe(s_state, r_state)
+    assert (tracker.m_tilde, tracker.b_tilde) == _per_pipe_regularity(s_frames, r_frames)
+    for prev, nxt in zip(s_frames, s_frames[1:]):
+        assert lyapunov_l1(prev.grids, nxt.grids, graph, dt) == _per_pipe_l1(
+            prev.grids, nxt.grids, graph, dt
+        )
+
+
 def test_snapshot_frame_from_state(single_pipe):
     grids = build_grids(single_pipe, 340.0, 0.375)
     grids["p"].r_plus[:] = 1.5

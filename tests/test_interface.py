@@ -442,6 +442,16 @@ def test_cli_observe_bad_fit_window_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def _assert_rejected(code, capsys, out):
+    """Exit 2, exactly one `error:` line on stderr (returned) and no output
+    directory."""
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+    return err[0]
+
+
 @pytest.mark.parametrize(
     "command, extra",
     [
@@ -465,10 +475,55 @@ def test_cli_bad_option_exits_2_and_writes_nothing(tmp_path, capsys, command, ex
     out = tmp_path / "out"
     code = run_cli([command, "--network", str(net), "--scenario", str(scn), "--out", str(out),
                     *extra])
-    assert code == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
-    assert not out.exists()
+    _assert_rejected(code, capsys, out)
+
+
+@pytest.mark.parametrize(
+    "which, old, new, command",
+    [
+        ("step_friction.scn", "theta 0.0137", "theta nan", ["observe"]),
+        ("step_friction.scn", "theta 0.0137", "theta inf", ["observe"]),
+        ("gaslib40_like.net", "pipe 0-3   0  3  16000.0 1.0", "pipe 0-3   0  3  1e400 1.0",
+         ["observe"]),
+        ("gaslib40_like.net", "pipe 0-3   0  3  16000.0 1.0", "pipe 0-3   0  3  16000.0 inf",
+         ["observe"]),
+        ("gaslib40_like.net", "pipe 3-4   3  4  12500.0 1.0",
+         "pipe 3-4   3  4  12500.0 1.0 nan", ["simulate"]),
+        ("step_friction.scn", "t_end 600", "t_end inf", ["observe"]),
+        ("step_friction.scn", "boundary 0 200 60", "boundary 0 inf 60", ["simulate"]),
+        ("step_friction.scn", "mu uniform 0", "mu uniform nan",
+         ["certify", "--m-tilde", "0.5", "--b-tilde", "0.1"]),
+    ],
+    ids=["theta-nan", "theta-inf", "length-1e400", "diameter-inf", "pipe-theta-nan",
+         "t_end-inf", "breakpoint-time-inf", "mu-nan"],
+)
+def test_cli_non_finite_input_exits_2_and_writes_nothing(tmp_path, capsys, which, old, new,
+                                                         command):
+    paths = {}
+    for name in ("gaslib40_like.net", "step_friction.scn"):
+        text = bundled_path(name).read_text()
+        if name == which:
+            assert old in text
+            text = text.replace(old, new)
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    out = tmp_path / "out"
+    code = run_cli([command[0], "--network", str(paths["gaslib40_like.net"]),
+                    "--scenario", str(paths["step_friction.scn"]), "--out", str(out),
+                    *command[1:]])
+    _assert_rejected(code, capsys, out)
+
+
+def test_certify_checks_amplitude_bound_before_the_run(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_observer_pair called before --amplitude-bound was checked")
+
+    monkeypatch.setattr("gasnetsim.cli.run_observer_pair", no_run)
+    out = tmp_path / "out"
+    code = run_cli(["certify", "--network", str(bundled_path("gaslib40_like.net")),
+                    "--scenario", str(bundled_path("step_friction.scn")), "--out", str(out),
+                    "--amplitude-bound", "nan"])
+    assert "amplitude bound" in _assert_rejected(code, capsys, out)
 
 
 def test_cli_snapshot_beyond_horizon_lands_on_last_step(tmp_path):

@@ -19,7 +19,9 @@ from gasnetsim.observer import (
 )
 from gasnetsim.run import assemble
 from gasnetsim.solver import (
+    EdgeGrid,
     SimState,
+    advect_step,
     build_grids,
     control_values,
     gather_node_inputs,
@@ -368,3 +370,19 @@ def test_controls_evaluated_once_per_boundary_node_per_step(five_pipe, monkeypat
     assert n_steps == 10
     # each boundary node of five_pipe sits on its own pipe
     assert calls == {five_pipe.incident_pipes(v)[0].id: n_steps for v in five_pipe.boundary_nodes}
+
+
+@pytest.mark.parametrize("cfl", [1.0, 0.6])
+def test_new_grids_keep_pipe_geometry(cfl):
+    def grid(fill):
+        return EdgeGrid("q", 5, 0.7, cfl, np.full(5, fill), np.full(5, -fill),
+                        length_perturbation=0.013)
+
+    def geometry(g):
+        return g.pipe, g.n_cells, g.dx, g.cfl, g.length_perturbation
+
+    advected = advect_step(grid(2.0), inflow_plus=1.0, inflow_minus=-1.0)
+    assert geometry(advected) == geometry(grid(2.0))
+    delta = difference_state(SimState({"q": grid(3.0)}, dt=0.5), SimState({"q": grid(1.0)}, dt=0.5))
+    assert geometry(delta.grids["q"]) == geometry(grid(3.0))
+    assert delta.grids["q"].r_plus.tolist() == [2.0] * 5
