@@ -16,10 +16,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bounds import BoundInputs, check_amplitude_bound, decay_certificates, wellposedness_constants
-from .diagnostics import SnapshotFrame, fit_decay_rate
+from .diagnostics import SnapshotFrame, fit_decay_rate, snapshot_file_name
 from .errors import NumericalError, ValidationError
 from .fileio import BAR, parse_network_file, parse_scenario_file
-from .physics import pressure_from_riemann
 from .run import RunResult, run_observer_pair, run_truth
 
 EXIT_OK = 0
@@ -29,6 +28,12 @@ EXIT_NUMERICAL = 3
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _rows(pid: str, *columns: np.ndarray):
+    """CSV lines `pid,c0,c1,...` of equally long float columns, one per cell."""
+    cells = zip(*[c.tolist() for c in columns])
+    return (",".join([pid, *map(repr, vals)]) + "\n" for vals in cells)
 
 
 def _parse_times(text: str, option: str) -> List[float]:
@@ -59,24 +64,20 @@ def _load_inputs(args):
 def _write_series_csv(path: Path, header: str, rows) -> None:
     with path.open("w", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-            fh.write("\n")
+        fh.writelines(
+            ",".join([_fmt(v) if isinstance(v, float) else str(v) for v in row]) + "\n"
+            for row in rows
+        )
 
 
 def _write_snapshots(out_dir: Path, snapshots: Sequence[SnapshotFrame], cols=("delta_plus", "delta_minus")) -> None:
     snap_dir = out_dir / "snapshots"
     snap_dir.mkdir(parents=True, exist_ok=True)
     for frame in snapshots:
-        name = f"t_{frame.t:g}.csv"
-        with (snap_dir / name).open("w", newline="\n") as fh:
+        with (snap_dir / snapshot_file_name(frame.t)).open("w", newline="\n") as fh:
             fh.write(f"pipe,x,{cols[0]},{cols[1]}\n")
-            for pid in frame.x:
-                xs = frame.x[pid]
-                dp = frame.delta_plus[pid]
-                dm = frame.delta_minus[pid]
-                for i in range(len(xs)):
-                    fh.write(f"{pid},{_fmt(xs[i])},{_fmt(dp[i])},{_fmt(dm[i])}\n")
+            for pid, xs in frame.x.items():
+                fh.writelines(_rows(pid, xs, frame.delta_plus[pid], frame.delta_minus[pid]))
 
 
 def parse_fit_window(text: str, t_end: float) -> Tuple[float, float]:
@@ -147,12 +148,9 @@ def _cmd_simulate(args) -> int:
     with (out / "state.csv").open("w", newline="\n") as fh:
         fh.write("pipe,x,r_plus,r_minus,pressure_bar,velocity\n")
         for pid, g in state.grids.items():
-            xs = g.cell_centers()
-            for i in range(g.n_cells):
-                rp, rm = float(g.r_plus[i]), float(g.r_minus[i])
-                p_bar = pressure_from_riemann(law, rp, rm) / BAR
-                v = (rp - rm) / 2.0
-                fh.write(f"{pid},{_fmt(xs[i])},{_fmt(rp)},{_fmt(rm)},{_fmt(p_bar)},{_fmt(v)}\n")
+            rp, rm = g.r_plus, g.r_minus
+            p_bar = law.pressure(law.rtilde_inverse((rp + rm) / 2.0)) / BAR
+            fh.writelines(_rows(pid, g.cell_centers(), rp, rm, p_bar, (rp - rm) / 2.0))
     if snapshots:
         _write_snapshots(out, snapshots, cols=("r_plus", "r_minus"))
     return EXIT_OK

@@ -64,6 +64,11 @@ class SnapshotFrame:
         )
 
 
+def snapshot_file_name(t: float) -> str:
+    """Name of the snapshot file of the frame at time `t`."""
+    return f"t_{t:g}.csv"
+
+
 def lyapunov_l0(delta_grids: Mapping[PipeId, EdgeGrid], graph: NetworkGraph) -> float:
     """Network error functional: the sum over edges of
     (D^2/2) * dx * sum(delta_plus^2 + delta_minus^2), midpoint rule."""
@@ -183,12 +188,12 @@ class RegularityTracker:
         # over the same values as pipe by pipe, and max(x)/dt == max(x/dt).
         plus, minus = _pack(s_state.grids.values())
         ds = plus - minus
-        m = float(np.max(np.abs(ds)))
+        m = float(np.abs(ds).max())
         if r_state is not None:
             plus, minus = _pack(r_state.grids.values())
-            m = max(m, float(np.max(np.abs(plus - minus))))
+            m = max(m, float(np.abs(plus - minus).max()))
         self.m_tilde = max(self.m_tilde, m)
         if self._prev is not None:
-            quot = np.max(np.abs(ds - self._prev)) / s_state.dt
+            quot = np.abs(ds - self._prev).max() / s_state.dt
             self.b_tilde = max(self.b_tilde, float(quot))
         self._prev = ds

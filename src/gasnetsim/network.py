@@ -75,7 +75,7 @@ def junction_outflow(
     Degree-1 node: ``boundary_gain`` must supply (mu, u) and
         out = (1 - mu) * u + mu * in.
     """
-    if set(incoming) != set(diameters):
+    if incoming.keys() != diameters.keys():
         raise ValidationError("junction_outflow: incoming/diameter keys differ")
     if not incoming:
         raise ValidationError("junction_outflow: empty node")
@@ -153,8 +153,10 @@ class NetworkGraph:
             raise ValidationError(f"unknown node id {v!r}") from None
 
     def diameters_at(self, v: NodeId) -> Dict[PipeId, float]:
-        self.incident_pipes(v)
-        return self._diameters[v]
+        try:
+            return self._diameters[v]
+        except KeyError:
+            raise ValidationError(f"unknown node id {v!r}") from None
 
     def with_theta(self, theta: float) -> "NetworkGraph":
         """Copy of the graph with a uniform friction coefficient on all pipes."""

@@ -81,7 +81,7 @@ def diff_junction_outflow(
     """
     if abs(mu) > 1.0:
         raise ValidationError(f"mu={mu} outside [-1, 1]")
-    if set(delta_in) != set(diameters):
+    if delta_in.keys() != diameters.keys():
         raise ValidationError("diff_junction_outflow: key mismatch")
     w = omega_v(diameters.values())
     total = sum(diameters[e] ** 2 * d for e, d in delta_in.items())

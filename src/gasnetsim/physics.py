@@ -59,7 +59,7 @@ class PressureLaw:
 
     def _check_rho(self, rho: ArrayLike) -> None:
         arr = np.asarray(rho, dtype=float)
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+        if not (np.isfinite(arr).all() and (arr > 0.0).all()):
             raise DomainError(f"density must be positive and finite, got {rho}")
 
     def _validate_monotone(self) -> None:
@@ -96,7 +96,7 @@ class IsothermalLaw(PressureLaw):
 
     def density_from_pressure(self, p: ArrayLike) -> ArrayLike:
         p = np.asarray(p, dtype=float)
-        if np.any(p <= 0):
+        if (p <= 0).any():
             raise DomainError("isothermal density needs positive pressure")
         return p / self.c ** 2
 
@@ -134,7 +134,7 @@ class IsentropicLaw(PressureLaw):
 
     def density_from_pressure(self, p: ArrayLike) -> ArrayLike:
         p = np.asarray(p, dtype=float)
-        if np.any(p <= 0):
+        if (p <= 0).any():
             raise DomainError("isentropic density needs positive pressure")
         return (p / self.a) ** (1.0 / self.gamma)
 
@@ -144,10 +144,13 @@ class IsentropicLaw(PressureLaw):
         return self._k * (rho ** ((self.gamma - 1.0) / 2.0) - 1.0)
 
     def rtilde_inverse(self, r: ArrayLike) -> ArrayLike:
-        base = 1.0 + np.asarray(r, dtype=float) / self._k
-        if np.any(base <= 0.0):
-            raise DomainError(f"invariant midpoint {r} below the isentropic vacuum bound")
-        return base ** (2.0 / (self.gamma - 1.0))
+        r = np.asarray(r, dtype=float)
+        base = 1.0 + r / self._k
+        if (base <= 0.0).any():
+            raise DomainError(f"invariant midpoint {r[base <= 0.0][0]} below the vacuum bound")
+        # ** on a numpy scalar calls libm's pow, which can differ in the last
+        # bit from np.power's array loop; np.power gives both the same value.
+        return np.power(base, 2.0 / (self.gamma - 1.0))
 
 
 @dataclass(frozen=True)
@@ -183,10 +186,10 @@ class AgaLaw(PressureLaw):
 
     def density_from_pressure(self, p: ArrayLike) -> ArrayLike:
         p = np.asarray(p, dtype=float)
-        if np.any(p <= 0):
+        if (p <= 0).any():
             raise DomainError("AGA density needs positive pressure")
         rho = p / (self.rs_t + self.alpha * p)
-        if np.any(rho <= 0):
+        if (rho <= 0).any():
             raise DomainError("pressure outside the AGA admissible range")
         return rho
 
@@ -201,10 +204,11 @@ class AgaLaw(PressureLaw):
     def rtilde_inverse(self, r: ArrayLike) -> ArrayLike:
         # rho = y / ((1 - alpha) + alpha y) with y = exp(r / sqrt(Rs*T)); for
         # alpha < 0 the denominator vanishes at the supremum of Rt.
-        y = np.exp(np.asarray(r, dtype=float) / math.sqrt(self.rs_t))
+        r = np.asarray(r, dtype=float)
+        y = np.exp(r / math.sqrt(self.rs_t))
         denom = (1.0 - self.alpha) + self.alpha * y
-        if not np.all(denom > 0.0):
-            raise DomainError(f"invariant midpoint {r} has no AGA density")
+        if not (denom > 0.0).all():
+            raise DomainError(f"invariant midpoint {r[~(denom > 0.0)][0]} has no AGA density")
         return y / denom
 
 

@@ -16,6 +16,7 @@ from .diagnostics import (
     lyapunov_l0,
     lyapunov_l1,
     nodal_energy_residual,
+    snapshot_file_name,
 )
 from .errors import NumericalError, ValidationError
 from .fileio import ScenarioSpec, make_boundary_control
@@ -107,8 +108,17 @@ class RunResult:
 
 
 def _snapshot_steps(times: Sequence[float], dt: float, n: int) -> List[int]:
-    """The steps nearest to `times`, each time first clamped to [0, n dt]."""
-    return sorted({round(min(max(t, 0.0), n * dt) / dt) for t in times})
+    """The steps nearest to `times`, each time first clamped to [0, n dt];
+    two steps whose frames would be written to one file are rejected."""
+    first: Dict[int, float] = {}
+    for t in times:
+        first.setdefault(round(min(max(t, 0.0), n * dt) / dt), float(t))
+    steps = sorted(first)
+    for k0, k1 in zip(steps, steps[1:]):  # file names never fall as the step rises
+        if snapshot_file_name(k0 * dt) == snapshot_file_name(k1 * dt):
+            raise ValidationError(f"snapshot times {first[k0]!r} and {first[k1]!r} would "
+                                  f"both be written to {snapshot_file_name(k1 * dt)}")
+    return steps
 
 
 def _check_state_finite(state: SimState) -> None:
@@ -137,9 +147,13 @@ def run_observer_pair(
     cs = CoupledState(asm.s_state, asm.r_state, asm.config)
     n = asm.n_steps
     snap_steps = _snapshot_steps(snapshot_times, asm.dt, n)
-    times = np.empty(n + 1)
-    l0 = np.empty(n + 1)
-    l1 = np.empty(n) if record_l1 else None
+    try:
+        times = np.empty(n + 1)
+        l0 = np.empty(n + 1)
+        l1 = np.empty(n) if record_l1 else None
+    except (ValueError, MemoryError):
+        raise ValidationError(f"t_end = {scenario.t_end!r} s at dt = {asm.dt!r} s is {n:.6g} "
+                              "steps, too many to record a value per step") from None
     residuals: List[Tuple[float, NodeId, float]] = []
     snapshots: List[SnapshotFrame] = []
     tracker = RegularityTracker()

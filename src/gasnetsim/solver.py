@@ -24,7 +24,7 @@ MODE_EXACT = "exact-advection"
 MODE_CFL_SAFE = "cfl-safe"
 
 
-@dataclass
+@dataclass(slots=True)
 class EdgeGrid:
     """Cell-centered invariant fields on one pipe; cell i sits at (i + 1/2) dx."""
 
@@ -150,12 +150,12 @@ def advect_step(grid: EdgeGrid, inflow_plus: float, inflow_minus: float) -> Edge
 def friction_root(d_star: Union[float, np.ndarray], a: float) -> Union[float, np.ndarray]:
     """Root of d + a |d| d = d_star for a >= 0, in a cancellation-free form.
 
-    d = sign(d_star) * 2 |d_star| / (1 + sqrt(1 + 4 a |d_star|)); exact for
-    a = 0 and monotone contracting (|d| <= |d_star|) for all inputs.
+    d = 2 d_star / (1 + sqrt(1 + 4 a |d_star|)); exact for a = 0 and
+    monotone contracting (|d| <= |d_star|) for all inputs.  Doubling is
+    exact and the division is sign-symmetric, so this equals
+    sign(d_star) * 2 |d_star| / (...) bit for bit, signed zeros included.
     """
-    mag = np.abs(d_star)
-    d = 2.0 * mag / (1.0 + np.sqrt(1.0 + 4.0 * a * mag))
-    return np.copysign(d, d_star)
+    return 2.0 * d_star / (1.0 + np.sqrt(1.0 + 4.0 * a * np.abs(d_star)))
 
 
 def friction_root_shifted(
@@ -199,7 +199,7 @@ def gather_node_inputs(
         d: Dict[PipeId, float] = {}
         for p in graph.incident_pipes(v):
             g = state.grids[p.id]
-            d[p.id] = float(g.r_plus[-1]) if v == p.to_node else float(g.r_minus[0])
+            d[p.id] = g.r_plus.item(-1) if v == p.to_node else g.r_minus.item(0)
         vals[v] = d
     return vals
 

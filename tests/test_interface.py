@@ -535,6 +535,118 @@ def test_cli_snapshot_beyond_horizon_lands_on_last_step(tmp_path):
     assert [p.name for p in (out / "snapshots").iterdir()] == ["t_6.csv"]
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("observe", []),
+    ("snapshot", ["--times", "1"]),
+    ("certify", []),
+])
+def test_cli_enormous_horizon_exits_2_and_writes_nothing(tmp_path, capsys, command, extra):
+    # finite, so the scenario parser accepts it, but no per-step series fits
+    net, scn = _write_small_inputs(tmp_path)
+    scn.write_text(scn.read_text().replace("t_end 6", "t_end 1e300"))
+    out = tmp_path / "out"
+    code = run_cli([command, "--network", str(net), "--scenario", str(scn), "--out", str(out),
+                    *extra])
+    err = _assert_rejected(code, capsys, out)
+    assert "t_end = 1e+300 s" in err and "dt = 0.375 s" in err and "steps" in err
+
+
+@pytest.mark.parametrize("command, option", [
+    ("observe", "--snapshots"),
+    ("simulate", "--snapshots"),
+    ("snapshot", "--times"),
+])
+def test_cli_snapshot_times_sharing_a_file_are_rejected(tmp_path, capsys, command, option):
+    # steps 209,875 and 209,876 lie 0.59 s apart and both format as t_123456
+    net = tmp_path / "net.net"
+    net.write_text("node a\nnode b\npipe p a b 1020 0.5\n")
+    scn = tmp_path / "scn.scn"
+    scn.write_text("theta 0\nt_end 123457\ndt 0.5882352941176471\nmu uniform 0\n")
+    out = tmp_path / "out"
+    code = run_cli([command, "--network", str(net), "--scenario", str(scn), "--out", str(out),
+                    option, "0,123456.1,123456.7"])
+    err = _assert_rejected(code, capsys, out)
+    assert "123456.1" in err and "123456.7" in err and "t_123456.csv" in err
+
+
+STATE_LAWS = {
+    "isothermal": "law isothermal\n",
+    "isentropic": "law isentropic 40000 1.4\n",
+    "aga": "law aga 115600 -0.005\n",
+}
+
+
+def _simulate_with_state(tmp_path, monkeypatch, law_line, fields):
+    """Run `simulate` with run_truth replaced by a state whose pipes carry
+    `fields` = {pipe: (r_plus, r_minus)}; returns the exit code and out dir."""
+    import gasnetsim.cli as cli_mod
+    from gasnetsim.solver import EdgeGrid, SimState
+
+    grids = {pid: EdgeGrid(pid, len(rp), 170.0, 1.0, rp, rm) for pid, (rp, rm) in fields.items()}
+    monkeypatch.setattr(cli_mod, "run_truth", lambda *a, **k: (SimState(grids, 0.5), []))
+    net, scn = _write_small_inputs(tmp_path)
+    scn.write_text(law_line + scn.read_text())
+    out = tmp_path / "out"
+    code = run_cli(["simulate", "--network", str(net), "--scenario", str(scn), "--out", str(out)])
+    return code, out
+
+
+@pytest.mark.parametrize("law_name", sorted(STATE_LAWS))
+def test_state_csv_equals_per_cell_reference(tmp_path, monkeypatch, law_name):
+    from gasnetsim.physics import pressure_from_riemann
+
+    law = parse_scenario(STATE_LAWS[law_name]).make_law()
+    rng = np.random.default_rng(17)
+    fields = {}
+    for pid, n in (("p", 400), ("q", 300)):
+        rt = law.rtilde(rng.uniform(20.0, 80.0, n))
+        v = rng.uniform(-10.0, 10.0, n)
+        fields[pid] = (rt + v, rt - v)
+    code, out = _simulate_with_state(tmp_path, monkeypatch, STATE_LAWS[law_name], fields)
+    assert code == 0
+    expected = ["pipe,x,r_plus,r_minus,pressure_bar,velocity"]
+    for pid, (rp, rm) in fields.items():
+        for i in range(len(rp)):
+            a, b = float(rp[i]), float(rm[i])
+            cells = [(i + 0.5) * 170.0, a, b, pressure_from_riemann(law, a, b) / BAR, (a - b) / 2.0]
+            expected.append(",".join([pid, *(repr(float(c)) for c in cells)]))
+    assert (out / "state.csv").read_text().splitlines() == expected
+
+
+@pytest.mark.parametrize("law_name, midpoint", [("isentropic", -2000.0), ("aga", 2000.0)])
+def test_state_csv_domain_error_is_one_line(tmp_path, capsys, monkeypatch, law_name, midpoint):
+    rp = np.full(50, 100.0)
+    rp[7] = midpoint
+    code, _ = _simulate_with_state(tmp_path, monkeypatch, STATE_LAWS[law_name], {"p": (rp, rp)})
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and repr(midpoint) in err[0]
+
+
+def test_series_and_snapshot_files_equal_per_value_repr(tmp_path):
+    from gasnetsim.cli import _write_series_csv, _write_snapshots
+    from gasnetsim.diagnostics import SnapshotFrame
+
+    rng = np.random.default_rng(3)
+    vals = rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40)
+    vals[:4] = [0.0, -0.0, 5e-324, -1.7976931348623157e308]
+    rows = [(0.25 * i, "n7", x) for i, x in enumerate(vals)]  # x is numpy float64
+    _write_series_csv(tmp_path / "series.csv", "t,node,residual", rows)
+    expected = ["t,node,residual"] + [f"{repr(0.25 * i)},n7,{repr(float(x))}"
+                                      for i, x in enumerate(vals)]
+    assert (tmp_path / "series.csv").read_text().splitlines() == expected
+
+    x = {"p": rng.uniform(0.0, 1e3, 30), "q": rng.uniform(0.0, 1e3, 20)}
+    dp = {pid: vals[: len(xs)] for pid, xs in x.items()}
+    dm = {pid: -vals[-len(xs):] for pid, xs in x.items()}
+    _write_snapshots(tmp_path, [SnapshotFrame(12.5, x, dp, dm)], cols=("r_plus", "r_minus"))
+    expected = ["pipe,x,r_plus,r_minus"] + [
+        f"{pid},{repr(float(x[pid][i]))},{repr(float(dp[pid][i]))},{repr(float(dm[pid][i]))}"
+        for pid in x for i in range(len(x[pid]))
+    ]
+    assert (tmp_path / "snapshots" / "t_12.5.csv").read_text().splitlines() == expected
+
+
 def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, gasnetsim.cli; print('scipy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}

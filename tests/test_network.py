@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from gasnetsim.errors import ValidationError
 from gasnetsim.network import NetworkGraph, PipeSpec, junction_outflow, omega_v
+from gasnetsim.observer import diff_junction_outflow
 
 
 def test_pipe_spec_validation():
@@ -73,6 +74,18 @@ def test_junction_validation():
         junction_outflow(
             {"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 1.0}, boundary_gain=(0.5, 0.0)
         )
+    with pytest.raises(ValidationError, match="keys differ"):
+        junction_outflow({"a": 1.0, "b": 2.0}, {"a": 1.0, "c": 1.0})
+    with pytest.raises(ValidationError, match="keys differ"):
+        junction_outflow({"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 1.0, "c": 1.0})
+    with pytest.raises(ValidationError, match="key mismatch"):
+        diff_junction_outflow({"a": 1.0, "b": 2.0}, {"a": 1.0, "c": 1.0}, 0.5)
+
+
+def test_unknown_node_lookups_raise(five_pipe):
+    for lookup in (five_pipe.diameters_at, five_pipe.incident_pipes):
+        with pytest.raises(ValidationError, match="unknown node id 'nx'"):
+            lookup("nx")
 
 
 @given(

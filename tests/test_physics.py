@@ -203,3 +203,34 @@ def test_sound_speed_definition():
         assert law.sound_speed() == pytest.approx(
             math.sqrt(float(law.dpressure(law.rho_ref))), rel=1e-15
         )
+
+
+def rtilde_rejected_before(rho):
+    arr = np.asarray(rho, dtype=float)
+    return bool(not np.all(np.isfinite(arr)) or np.any(arr <= 0.0))
+
+
+def density_rejected_before(law, p):
+    p = np.asarray(p, dtype=float)
+    if np.any(p <= 0):
+        return True
+    return isinstance(law, AgaLaw) and bool(np.any(p / (law.rs_t + law.alpha * p) <= 0))
+
+
+@pytest.mark.parametrize("law", LAWS, ids=["isothermal", "isentropic-2", "isentropic-1.4", "aga"])
+@pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 2.0e5])
+@pytest.mark.parametrize("shape", ["float", "0-d", "1-d"])
+def test_domain_checks_reject_the_same_inputs(law, bad, shape):
+    x = {"float": bad, "0-d": np.asarray(bad), "1-d": np.array([3.0e5, bad, 4.0e5])}[shape]
+    with np.errstate(all="ignore"):
+        for method, rejected in ((law.rtilde, rtilde_rejected_before(x)),
+                                 (law.density_from_pressure, density_rejected_before(law, x))):
+            if rejected:
+                with pytest.raises(DomainError):
+                    method(x)
+            else:
+                method(x)
+    if bad != 2.0e5:
+        assert rtilde_rejected_before(x)
+    empty = np.array([])
+    assert law.rtilde(empty).shape == law.density_from_pressure(empty).shape == (0,)

@@ -183,6 +183,31 @@ def test_friction_root_max_principle_exact(d_star, a):
     assert abs(friction_root(d_star, a)) <= abs(d_star)
 
 
+def copysign_friction_root(d_star, a):
+    """The root in its sign-and-magnitude form."""
+    mag = np.abs(d_star)
+    return np.copysign(2.0 * mag / (1.0 + np.sqrt(1.0 + 4.0 * a * mag)), d_star)
+
+
+@given(
+    st.one_of(
+        st.builds(lambda m, neg: -m if neg else m, st.floats(1e-310, 1e308), st.booleans()),
+        st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    ),
+    st.floats(1e-12, 1e3),
+)
+def test_friction_root_equals_copysign_form(d_star, a):
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = copysign_friction_root(d_star, a)
+        got = [friction_root(d_star, a), friction_root(np.array([d_star, 1.0]), a)[0]]
+    for d in got:
+        if math.isnan(ref):
+            # inf/inf gives a NaN whose sign IEEE 754 leaves open
+            assert math.isnan(d)
+        else:
+            assert d == ref and np.signbit(d) == np.signbit(ref)
+
+
 # ---------------------------------------------------------------------------
 # full steps
 
