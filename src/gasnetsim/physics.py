@@ -147,7 +147,8 @@ class IsentropicLaw(PressureLaw):
         r = np.asarray(r, dtype=float)
         base = 1.0 + r / self._k
         if (base <= 0.0).any():
-            raise DomainError(f"invariant midpoint {r[base <= 0.0][0]} below the vacuum bound")
+            raise DomainError(
+                f"invariant midpoint {r[base <= 0.0][0]} below the isentropic vacuum bound")
         # ** on a numpy scalar calls libm's pow, which can differ in the last
         # bit from np.power's array loop; np.power gives both the same value.
         return np.power(base, 2.0 / (self.gamma - 1.0))
