@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import ValidationError
-from .network import NetworkGraph, NodeId
+from .network import NetworkGraph, NodeId, check_gain
 
 
 def check_amplitude_bound(m: float) -> None:
@@ -161,8 +161,7 @@ def upsilon0(graph: NetworkGraph, mu: Mapping[NodeId, float]) -> float:
         s = 0.0
         for v in (p.from_node, p.to_node):
             m = mu[v]
-            if abs(m) > 1.0:
-                raise ValidationError(f"mu at node {v!r} is {m}, outside [-1, 1]")
+            check_gain(m, v)
             s += (1.0 - m * m) / (1.0 + m * m)
         worst = min(worst, s)
     return worst

@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .errors import ValidationError
 from .network import NetworkGraph, PipeId
-from .solver import EdgeGrid, SimState
+from .solver import EdgeGrid, SimState, pack
 
 
 @dataclass
@@ -69,21 +69,27 @@ def snapshot_file_name(t: float) -> str:
     return f"t_{t:g}.csv"
 
 
-def lyapunov_l0(delta_grids: Mapping[PipeId, EdgeGrid], graph: NetworkGraph) -> float:
-    """Network error functional: the sum over edges of
-    (D^2/2) * dx * sum(delta_plus^2 + delta_minus^2), midpoint rule."""
-    terms = []
+def quadrature(
+    plus: np.ndarray, minus: np.ndarray, grids: Mapping[PipeId, EdgeGrid], graph: NetworkGraph
+) -> float:
+    """Sum over pipes of (D^2/2) * dx * sum(plus^2 + minus^2) on that pipe's
+    cells, midpoint rule, for fields packed by `solver.pack`.  One dot per
+    pipe and field, summed in pipe order, so the value does not depend on
+    the packing."""
+    total = 0.0
+    start = 0
     for p in graph.pipes:
-        g = delta_grids[p.id]
-        ssq = float(np.dot(g.r_plus, g.r_plus) + np.dot(g.r_minus, g.r_minus))
-        terms.append(0.5 * p.diameter ** 2 * g.dx * ssq)
-    return sum(terms)
+        g = grids[p.id]
+        end = start + g.n_cells
+        a, b = plus[start:end], minus[start:end]
+        total += 0.5 * p.diameter ** 2 * g.dx * float(np.dot(a, a) + np.dot(b, b))
+        start = end
+    return total
 
 
-def _pack(grids: Iterable[EdgeGrid]) -> Tuple[np.ndarray, np.ndarray]:
-    """R+ and R- of all `grids`, each concatenated in the order given."""
-    grids = list(grids)
-    return np.concatenate([g.r_plus for g in grids]), np.concatenate([g.r_minus for g in grids])
+def lyapunov_l0(delta_grids: Mapping[PipeId, EdgeGrid], graph: NetworkGraph) -> float:
+    """Network error functional: the `quadrature` of (delta_plus, delta_minus)."""
+    return quadrature(*pack(delta_grids, graph), delta_grids, graph)
 
 
 def lyapunov_l1(
@@ -101,20 +107,9 @@ def lyapunov_l1(
         raise ValidationError("lyapunov_l1 needs two consecutive frames")
     if not dt > 0:
         raise ValidationError("lyapunov_l1 needs dt > 0")
-    p0, m0 = _pack(prev_grids[p.id] for p in graph.pipes)
-    p1, m1 = _pack(next_grids[p.id] for p in graph.pipes)
-    qp, qm = (p1 - p0) / dt, (m1 - m0) / dt
-    # One dot per pipe and field, summed in pipe order: the rounding of the
-    # per-pipe formula, so L1 does not depend on the packing.
-    total = 0.0
-    start = 0
-    for p in graph.pipes:
-        g0 = prev_grids[p.id]
-        end = start + g0.n_cells
-        a, b = qp[start:end], qm[start:end]
-        total += 0.5 * p.diameter ** 2 * g0.dx * float(np.dot(a, a) + np.dot(b, b))
-        start = end
-    return total
+    p0, m0 = pack(prev_grids, graph)
+    p1, m1 = pack(next_grids, graph)
+    return quadrature((p1 - p0) / dt, (m1 - m0) / dt, prev_grids, graph)
 
 
 def nodal_energy_residual(
@@ -175,25 +170,19 @@ class RegularityTracker:
 
     Feeds the observability constants: m_tilde bounds |S+ - S-| and
     |R+ - R-| over the run, b_tilde bounds the difference quotient of
-    (S+ - S-) between consecutive steps (their grids in the same order).
+    (S+ - S-) between consecutive steps `dt` apart.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, dt: float) -> None:
+        self.dt = dt
         self.m_tilde = 0.0
         self.b_tilde = 0.0
         self._prev: Optional[np.ndarray] = None
 
-    def observe(self, s_state: SimState, r_state: Optional[SimState] = None) -> None:
-        # One array per system, pipes in grid order: the maxima are taken
-        # over the same values as pipe by pipe, and max(x)/dt == max(x/dt).
-        plus, minus = _pack(s_state.grids.values())
-        ds = plus - minus
-        m = float(np.abs(ds).max())
-        if r_state is not None:
-            plus, minus = _pack(r_state.grids.values())
-            m = max(m, float(np.abs(plus - minus).max()))
-        self.m_tilde = max(self.m_tilde, m)
+    def observe(self, s_diff: np.ndarray, r_diff: np.ndarray) -> None:
+        """Take S+ - S- and R+ - R- of one step, each packed by `solver.pack`."""
+        self.m_tilde = max(self.m_tilde, float(np.abs(s_diff).max()), float(np.abs(r_diff).max()))
         if self._prev is not None:
-            quot = np.abs(ds - self._prev).max() / s_state.dt
-            self.b_tilde = max(self.b_tilde, float(quot))
-        self._prev = ds
+            # max(x)/dt == max(x/dt): one division per step
+            self.b_tilde = max(self.b_tilde, float(np.abs(s_diff - self._prev).max()) / self.dt)
+        self._prev = s_diff

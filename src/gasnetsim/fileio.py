@@ -24,7 +24,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ParseError, ScheduleError, ValidationError
-from .network import NetworkGraph, NodeId, PipeId, PipeSpec
+from .network import NetworkGraph, NodeId, PipeId, PipeSpec, check_gain
 from .physics import AgaLaw, IsentropicLaw, IsothermalLaw, PressureLaw
 
 BAR = 1.0e5  # Pa
@@ -237,11 +237,9 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.mu_preset not in ("uniform", "mixed"):
             raise ValidationError(f"unknown mu preset {self.mu_preset!r}")
-        if not abs(self.mu_uniform) <= 1.0:
-            raise ValidationError("uniform mu must lie in [-1, 1]")
+        check_gain(self.mu_uniform, None)
         for v, m in self.mu_overrides.items():
-            if not abs(m) <= 1.0:
-                raise ValidationError(f"mu override at {v!r} outside [-1, 1]")
+            check_gain(m, v)
         if not 0 <= self.theta < math.inf:
             raise ValidationError(f"theta must be finite and nonnegative, got {self.theta}")
         for points in list(self.boundary.values()) + (
@@ -319,54 +317,57 @@ def parse_scenario(text: str) -> ScenarioSpec:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        key = parts[0]
+        key, *fields = line.split()
+        # Each record unpacks exactly the fields it takes: a missing or an
+        # extra field raises ValueError and is reported as malformed.
         try:
             if key == "law":
-                spec = _parse_law_line(spec, parts)
-            elif key == "c":
-                spec = replace(spec, c=_positive(parts, 1))
-            elif key == "rho_ref":
-                spec = replace(spec, rho_ref=_positive(parts, 1))
+                spec = _parse_law_line(spec, fields)
+            elif key in _POSITIVE_KEYS:
+                (text,) = fields
+                if not 0 < (value := float(text)) < math.inf:
+                    raise ValidationError(f"value must be finite and positive, got {value}")
+                spec = replace(spec, **{_POSITIVE_KEYS[key]: value})
             elif key == "theta":
-                spec = replace(spec, theta=float(parts[1]))
-            elif key == "rest_pressure":
-                spec = replace(spec, rest_pressure_bar=_positive(parts, 1))
-            elif key == "t_end":
-                spec = replace(spec, t_end=_positive(parts, 1))
-            elif key == "dt":
-                spec = replace(spec, dt=_positive(parts, 1))
+                (value,) = fields
+                spec = replace(spec, theta=float(value))
             elif key == "mode":
-                if parts[1] not in ("exact-advection", "cfl-safe"):
-                    raise ValidationError(f"unknown mode {parts[1]!r}")
-                spec = replace(spec, mode=parts[1])
+                (mode,) = fields
+                if mode not in ("exact-advection", "cfl-safe"):
+                    raise ValidationError(f"unknown mode {mode!r}")
+                spec = replace(spec, mode=mode)
             elif key == "mu":
-                if parts[1] == "uniform":
-                    spec = replace(spec, mu_preset="uniform", mu_uniform=float(parts[2]))
-                elif parts[1] == "mixed":
+                directive, *values = fields
+                if directive == "uniform":
+                    (value,) = values
+                    spec = replace(spec, mu_preset="uniform", mu_uniform=float(value))
+                elif directive == "mixed":
+                    () = values
                     spec = replace(spec, mu_preset="mixed")
-                elif parts[1] == "node":
-                    mu_overrides[parts[2]] = float(parts[3])
+                elif directive == "node":
+                    v, value = values
+                    mu_overrides[v] = float(value)
                 else:
-                    raise ValidationError(f"unknown mu directive {parts[1]!r}")
+                    raise ValidationError(f"unknown mu directive {directive!r}")
             elif key == "ic":
-                which, pid, kind = parts[1], parts[2], parts[3]
+                which, pid, kind, *values = fields
                 if which not in ("S", "R"):
                     raise ValidationError(f"ic system must be S or R, got {which!r}")
                 if kind == "constant":
-                    ic = InitialCondition("constant", float(parts[4]))
+                    (p_base,) = values
+                    ic = InitialCondition(kind, float(p_base))
                 elif kind == "half_step":
-                    ic = InitialCondition("half_step", float(parts[4]), float(parts[5]))
+                    p_base, h = values
+                    ic = InitialCondition(kind, float(p_base), float(h))
                 elif kind == "sinusoidal":
-                    ic = InitialCondition(
-                        "sinusoidal", float(parts[4]), float(parts[5]), int(parts[6])
-                    )
+                    p_base, h, f = values
+                    ic = InitialCondition(kind, float(p_base), float(h), int(f))
                 else:
                     raise ValidationError(f"unknown ic kind {kind!r}")
                 (ic_s if which == "S" else ic_r)[pid] = ic
             elif key == "boundary":
-                target = parts[1]
-                point = BoundaryPoint(float(parts[2]), float(parts[3]), float(parts[4]))
+                target, t, p_bar, m_kg_s = fields
+                point = BoundaryPoint(float(t), float(p_bar), float(m_kg_s))
                 if target == "default":
                     boundary_default.append(point)
                 else:
@@ -395,22 +396,24 @@ def parse_scenario_file(path) -> ScenarioSpec:
     return parse_scenario(Path(path).read_text())
 
 
-def _parse_law_line(spec: ScenarioSpec, parts: Sequence[str]) -> ScenarioSpec:
-    kind = parts[1]
+# Records `key value` whose value must be finite and positive, by field name.
+_POSITIVE_KEYS = {"c": "c", "rho_ref": "rho_ref", "rest_pressure": "rest_pressure_bar",
+                  "t_end": "t_end", "dt": "dt"}
+
+
+def _parse_law_line(spec: ScenarioSpec, fields: Sequence[str]) -> ScenarioSpec:
+    kind, *values = fields
     if kind == "isothermal":
+        () = values
         return replace(spec, law_kind="isothermal")
     if kind == "isentropic":
-        return replace(spec, law_kind="isentropic", law_a=float(parts[2]), law_gamma=float(parts[3]))
+        a, gamma = values
+        return replace(spec, law_kind="isentropic", law_a=float(a), law_gamma=float(gamma))
     if kind == "aga":
-        return replace(spec, law_kind="aga", law_rs_t=float(parts[2]), law_alpha=float(parts[3]))
+        rs_t, alpha = values
+        return replace(spec, law_kind="aga", law_rs_t=float(rs_t), law_alpha=float(alpha))
     raise ValidationError(f"unknown pressure law {kind!r}")
 
-
-def _positive(parts: Sequence[str], i: int) -> float:
-    val = float(parts[i])
-    if not 0 < val < math.inf:
-        raise ValidationError(f"value must be finite and positive, got {val}")
-    return val
 
 
 # ---------------------------------------------------------------------------

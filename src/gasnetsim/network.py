@@ -50,6 +50,13 @@ class PipeSpec:
         return math.pi * self.diameter ** 2 / 4.0
 
 
+def check_gain(mu: float, node: Optional[NodeId]) -> None:
+    """Reject a gain mu outside [-1, 1], NaN included, at `node` (or None)."""
+    if not abs(mu) <= 1.0:
+        at = "" if node is None else f" at node {node!r}"
+        raise ValidationError(f"mu{at} is {mu}, outside [-1, 1]")
+
+
 def omega_v(diameters: Iterable[float]) -> float:
     """Junction coupling weight 2 / sum(D_f^2) over the pipes at a node."""
     ds = list(diameters)
@@ -83,8 +90,7 @@ def junction_outflow(
         if boundary_gain is None:
             raise ValidationError("degree-1 node needs boundary_gain=(mu, u)")
         mu, u = boundary_gain
-        if abs(mu) > 1.0:
-            raise ValidationError(f"boundary gain mu={mu} outside [-1, 1]")
+        check_gain(mu, None)
         ((e, r_in),) = incoming.items()
         return {e: (1.0 - mu) * u + mu * r_in}
     if boundary_gain is not None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import ConfigurationError, ValidationError
-from .network import NetworkGraph, NodeId, PipeId, PipeSpec, omega_v
+from .network import NetworkGraph, NodeId, PipeId, PipeSpec, check_gain, omega_v
 from .solver import (
     Control,
     EdgeGrid,
@@ -35,8 +35,7 @@ class ObserverConfig:
 
     def __post_init__(self) -> None:
         for v, m in self.mu.items():
-            if not abs(m) <= 1.0:
-                raise ValidationError(f"mu at node {v!r} is {m}, outside [-1, 1]")
+            check_gain(m, v)
 
 
 @dataclass
@@ -79,8 +78,7 @@ def diff_junction_outflow(
     delta_out_e = mu * (omega_v * sum_g D_g^2 delta_in_g - delta_in_e), which
     satisfies sum D^2 |delta_out|^2 = mu^2 sum D^2 |delta_in|^2.
     """
-    if abs(mu) > 1.0:
-        raise ValidationError(f"mu={mu} outside [-1, 1]")
+    check_gain(mu, None)
     if delta_in.keys() != diameters.keys():
         raise ValidationError("diff_junction_outflow: key mismatch")
     w = omega_v(diameters.values())
@@ -98,8 +96,7 @@ def error_node_outputs(
     outs: Dict[NodeId, Dict[PipeId, float]] = {}
     for v, incoming in delta_in.items():
         m = mu[v]
-        if not abs(m) <= 1.0:
-            raise ValidationError(f"mu at node {v!r} is {m}, outside [-1, 1]")
+        check_gain(m, v)
         if len(incoming) == 1:
             outs[v] = {e: m * d for e, d in incoming.items()}
         else:
@@ -122,8 +119,7 @@ def observer_node_update(
                   + mu omega_v sum_g D_g^2 (R_in_g - S_in_g)
     Degree 1 (needs u):  R_out = (1 - mu) u + mu R_in.
     """
-    if abs(mu) > 1.0:
-        raise ValidationError(f"mu={mu} outside [-1, 1]")
+    check_gain(mu, None)
     if len(r_in) == 1:
         if u is None:
             raise ValidationError("boundary observer update needs the control value u")

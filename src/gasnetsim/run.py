@@ -13,9 +13,8 @@ from .diagnostics import (
     LyapunovSeries,
     RegularityTracker,
     SnapshotFrame,
-    lyapunov_l0,
-    lyapunov_l1,
     nodal_energy_residual,
+    quadrature,
     snapshot_file_name,
 )
 from .errors import NumericalError, ValidationError
@@ -30,7 +29,7 @@ from .observer import (
     step_system,
 )
 from .physics import PressureLaw
-from .solver import build_grids
+from .solver import build_grids, pack
 
 
 @dataclass
@@ -58,7 +57,11 @@ def assemble(graph: NetworkGraph, scenario: ScenarioSpec) -> Assembled:
     c = law.sound_speed()
     eff_graph = graph.with_theta(scenario.theta)
     dt = scenario.dt if scenario.dt is not None else default_dt(eff_graph, c)
-    n_steps = int(math.ceil(scenario.t_end / dt - 1e-12))
+    try:
+        n_steps = int(math.ceil(scenario.t_end / dt - 1e-12))
+    except OverflowError:
+        raise ValidationError(f"t_end = {scenario.t_end!r} s at dt = {dt!r} s is more steps "
+                              "than a float can count") from None
     mu = scenario.resolve_mu(eff_graph)
     controls = {
         v: make_boundary_control(scenario.schedule_for(v), eff_graph.incident_pipes(v)[0], law)
@@ -156,37 +159,31 @@ def run_observer_pair(
                               "steps, too many to record a value per step") from None
     residuals: List[Tuple[float, NodeId, float]] = []
     snapshots: List[SnapshotFrame] = []
-    tracker = RegularityTracker()
-
-    delta = difference_state(cs.r_state, cs.s_state)
-    prev_delta = delta
-    times[0] = cs.t
-    l0[0] = lyapunov_l0(delta.grids, asm.graph)
-    tracker.observe(cs.s_state, cs.r_state)
-    if 0 in snap_steps:
-        snapshots.append(SnapshotFrame.from_state(delta))
-
-    for k in range(1, n + 1):
-        collect = residual_stride > 0 and (k - 1) % residual_stride == 0
-        cs, traces = step_coupled(cs, asm.graph, collect_nodal=collect)
-        if traces is not None:
-            t_prev = (k - 1) * asm.dt
-            for v, tr in traces.items():
-                res = nodal_energy_residual(
-                    tr.delta_in, tr.delta_out, tr.mu, asm.graph.diameters_at(v)
-                )
-                residuals.append((t_prev, v, res))
-        delta = difference_state(cs.r_state, cs.s_state)
+    net, dt = asm.graph, asm.dt
+    tracker = RegularityTracker(dt)
+    prev_dp = prev_dm = None
+    for k in range(n + 1):
+        if k > 0:
+            collect = residual_stride > 0 and (k - 1) % residual_stride == 0
+            cs, traces = step_coupled(cs, net, collect_nodal=collect)
+            for v, tr in (traces or {}).items():
+                res = nodal_energy_residual(tr.delta_in, tr.delta_out, tr.mu, net.diameters_at(v))
+                residuals.append(((k - 1) * dt, v, res))
+        # Both systems packed once per step; every diagnostic reads these arrays.
+        grids = cs.s_state.grids
+        sp, sm = pack(grids, net)
+        rp, rm = pack(cs.r_state.grids, net)
+        dp, dm = rp - sp, rm - sm
         times[k] = cs.t
-        l0[k] = lyapunov_l0(delta.grids, asm.graph)
+        l0[k] = quadrature(dp, dm, grids, net)
         if not math.isfinite(l0[k]):
             raise NumericalError(f"simulation blew up: L0 is not finite at t={cs.t}")
-        if l1 is not None:
-            l1[k - 1] = lyapunov_l1(prev_delta.grids, delta.grids, asm.graph, asm.dt)
-        prev_delta = delta
-        tracker.observe(cs.s_state, cs.r_state)
+        if l1 is not None and k > 0:
+            l1[k - 1] = quadrature((dp - prev_dp) / dt, (dm - prev_dm) / dt, grids, net)
+        prev_dp, prev_dm = dp, dm
+        tracker.observe(sp - sm, rp - rm)
         if k in snap_steps:
-            snapshots.append(SnapshotFrame.from_state(delta))
+            snapshots.append(SnapshotFrame.from_state(difference_state(cs.r_state, cs.s_state)))
 
     series = LyapunovSeries(times=times, l0=l0, l1=l1)
     return RunResult(

@@ -190,6 +190,13 @@ def friction_step(r_plus, r_minus, nu: float, dt: float):
     return (s + d) / 2.0, (s - d) / 2.0
 
 
+def pack(grids: Mapping[PipeId, EdgeGrid], graph: NetworkGraph) -> Tuple[np.ndarray, np.ndarray]:
+    """R+ and R- of every pipe, each concatenated in `graph.pipes` order: the
+    one place that fixes the order of the packed diagnostics."""
+    gs = [grids[p.id] for p in graph.pipes]
+    return np.concatenate([g.r_plus for g in gs]), np.concatenate([g.r_minus for g in gs])
+
+
 def gather_node_inputs(
     state: SimState, graph: NetworkGraph
 ) -> Dict[NodeId, Dict[PipeId, float]]:

@@ -14,8 +14,11 @@ from gasnetsim.diagnostics import (
     nodal_energy_residual,
 )
 from gasnetsim.errors import ValidationError
+from gasnetsim.fileio import InitialCondition, ScenarioSpec
 from gasnetsim.network import NetworkGraph, PipeSpec
-from gasnetsim.solver import EdgeGrid, SimState, build_grids
+from gasnetsim.observer import CoupledState, difference_state, step_coupled
+from gasnetsim.run import assemble, run_observer_pair
+from gasnetsim.solver import EdgeGrid, SimState, build_grids, pack
 
 
 def unit_pipe_grid(n=8, length=2.0, fill_plus=0.0, fill_minus=0.0):
@@ -158,19 +161,20 @@ def test_sync_time_detection():
 
 
 def test_regularity_bounds_rest_state(five_pipe):
-    grids = build_grids(five_pipe, 340.0, 0.5, fill=1342.0)
-    tracker = RegularityTracker()
-    tracker.observe(SimState(grids=grids, dt=0.5))
-    tracker.observe(SimState(grids=grids, dt=0.5, step_index=1))
+    plus, minus = pack(build_grids(five_pipe, 340.0, 0.5, fill=1342.0), five_pipe)
+    tracker = RegularityTracker(0.5)
+    tracker.observe(plus - minus, plus - minus)
+    tracker.observe(plus - minus, plus - minus)
     assert tracker.m_tilde == 0.0
     assert tracker.b_tilde == 0.0
 
 
 def test_regularity_bounds_constant_difference():
     net, grids = unit_pipe_grid(fill_plus=2.0, fill_minus=-1.0)  # |S+ - S-| = 3
-    tracker = RegularityTracker()
-    for i in range(3):
-        tracker.observe(SimState(grids=dict(grids), dt=0.5, step_index=i))
+    plus, minus = pack(grids, net)
+    tracker = RegularityTracker(0.5)
+    for _ in range(3):
+        tracker.observe(plus - minus, np.zeros_like(plus))
     assert tracker.m_tilde >= 3.0
     assert tracker.b_tilde == 0.0
 
@@ -228,14 +232,99 @@ def test_packed_diagnostics_equal_per_pipe_loops(cells, n_frames, dt, seed):
 
     s_frames = [frame(k) for k in range(n_frames)]
     r_frames = [frame(k) for k in range(n_frames)]
-    tracker = RegularityTracker()
+    tracker = RegularityTracker(dt)
     for s_state, r_state in zip(s_frames, r_frames):
-        tracker.observe(s_state, r_state)
+        (sp, sm), (rp, rm) = pack(s_state.grids, graph), pack(r_state.grids, graph)
+        tracker.observe(sp - sm, rp - rm)
     assert (tracker.m_tilde, tracker.b_tilde) == _per_pipe_regularity(s_frames, r_frames)
     for prev, nxt in zip(s_frames, s_frames[1:]):
         assert lyapunov_l1(prev.grids, nxt.grids, graph, dt) == _per_pipe_l1(
             prev.grids, nxt.grids, graph, dt
         )
+
+
+def _per_pipe_l0(delta_grids, graph):
+    # Reference: lyapunov_l0 computed one pipe at a time.
+    total = 0.0
+    for p in graph.pipes:
+        g = delta_grids[p.id]
+        ssq = float(np.dot(g.r_plus, g.r_plus) + np.dot(g.r_minus, g.r_minus))
+        total += 0.5 * p.diameter ** 2 * g.dx * ssq
+    return total
+
+
+DT = 0.375
+
+
+@st.composite
+def observer_runs(draw):
+    """A connected 2-6-pipe network (a tree, or a tree plus one pipe that
+    closes a cycle) and a short coupled scenario on it.  dt = 0.375 s is not
+    a power of two, so dividing by it rounds."""
+    n_pipes = draw(st.integers(2, 6))
+    cyclic = draw(st.booleans())
+    ends = [(draw(st.integers(0, i)), i + 1) for i in range(n_pipes - cyclic)]
+    if cyclic:
+        a = draw(st.integers(0, n_pipes - 1))
+        ends.append((a, draw(st.integers(0, n_pipes - 1).filter(lambda b: b != a))))
+    pipes = []
+    for i, (a, b) in enumerate(ends):
+        if draw(st.booleans()):
+            a, b = b, a
+        pipes.append(PipeSpec(f"p{i}", f"n{a}", f"n{b}", draw(st.floats(340.0, 1200.0)),
+                              draw(st.floats(0.3, 1.2))))
+    graph = NetworkGraph(pipes)
+    pressure = st.floats(55.0, 65.0)
+    ic = st.one_of(
+        st.builds(InitialCondition, st.just("constant"), pressure),
+        st.builds(InitialCondition, st.just("half_step"), pressure, st.floats(-2.0, 2.0)),
+        st.builds(InitialCondition, st.just("sinusoidal"), pressure, st.floats(-2.0, 2.0),
+                  st.integers(1, 3)),
+    )
+    pipe_ids = st.sampled_from([p.id for p in pipes])
+    n_steps = draw(st.integers(1, 6))
+    scenario = ScenarioSpec(
+        theta=draw(st.sampled_from([0.0, 0.02])),
+        t_end=DT * n_steps,
+        dt=DT,
+        mode=draw(st.sampled_from(["exact-advection", "cfl-safe"])),
+        mu_overrides={v: draw(st.floats(-1.0, 1.0)) for v in graph.nodes},
+        ic_s=draw(st.dictionaries(pipe_ids, ic)),
+        ic_r=draw(st.dictionaries(pipe_ids, ic)),
+    )
+    snap_steps = draw(st.sets(st.integers(0, n_steps)))
+    return graph, scenario, snap_steps, draw(st.integers(0, 3))
+
+
+@given(observer_runs())
+def test_observer_record_equals_per_pipe_references(run):
+    graph, scenario, snap_steps, stride = run
+    result = run_observer_pair(graph, scenario, record_l1=True, residual_stride=stride,
+                               snapshot_times=[DT * k for k in snap_steps])
+    asm = assemble(graph, scenario)
+    cs = CoupledState(asm.s_state, asm.r_state, asm.config)
+    s_frames, r_frames, deltas = [], [], []
+    for k in range(asm.n_steps + 1):
+        if k:
+            cs, _ = step_coupled(cs, asm.graph)
+        s_frames.append(cs.s_state)
+        r_frames.append(cs.r_state)
+        deltas.append(difference_state(cs.r_state, cs.s_state))
+    l0 = [lyapunov_l0(d.grids, asm.graph) for d in deltas]
+    assert l0 == [_per_pipe_l0(d.grids, asm.graph) for d in deltas]
+    assert result.series.l0.tolist() == l0
+    assert result.series.l1.tolist() == [
+        _per_pipe_l1(d0.grids, d1.grids, asm.graph, asm.dt) for d0, d1 in zip(deltas, deltas[1:])
+    ]
+    assert (result.m_tilde, result.b_tilde) == _per_pipe_regularity(s_frames, r_frames)
+    assert len(result.snapshots) == len(snap_steps)
+    for frame, k in zip(result.snapshots, sorted(snap_steps)):
+        ref = SnapshotFrame.from_state(deltas[k])
+        assert frame.t == ref.t
+        for name in ("x", "delta_plus", "delta_minus"):
+            got, want = getattr(frame, name), getattr(ref, name)
+            assert list(got) == list(want)
+            assert all(np.array_equal(got[pid], want[pid]) for pid in want)
 
 
 def test_snapshot_frame_from_state(single_pipe):

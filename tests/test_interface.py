@@ -179,6 +179,19 @@ def test_scenario_rejects_bad_input():
         parse_scenario("ic S p half_step 60")  # missing offset
 
 
+@pytest.mark.parametrize("record", [
+    "law isothermal 1", "law isentropic 40000 1.4 2", "law aga 115600 -0.005 0",
+    "c 340 1", "rho_ref 1 1", "theta 0 1", "rest_pressure 60 61", "t_end 600 700",
+    "dt 0.5 1", "mode cfl-safe exact-advection", "mu uniform 0.5 0.9", "mu mixed 1",
+    "mu node a 0.5 1", "ic S p constant 60 1", "ic R p half_step 60 2 1",
+    "ic S p sinusoidal 60 2 2 1", "boundary default 0 60 1 2", "boundary a 0 60 1 2",
+])
+def test_scenario_record_with_an_extra_field_is_rejected(record):
+    with pytest.raises(ParseError, match=f"^line 2: malformed '{record.split()[0]}' record"):
+        parse_scenario(f"theta 0\n{record}\n")
+    parse_scenario(f"theta 0\n{record.rsplit(maxsplit=1)[0]}\n")  # the record without it
+
+
 def test_initial_condition_profiles():
     x = np.array([10.0, 40.0, 60.0, 90.0])
     half = InitialCondition("half_step", 60.0, 2.0)
@@ -535,20 +548,25 @@ def test_cli_snapshot_beyond_horizon_lands_on_last_step(tmp_path):
     assert [p.name for p in (out / "snapshots").iterdir()] == ["t_6.csv"]
 
 
-@pytest.mark.parametrize("command, extra", [
-    ("observe", []),
-    ("snapshot", ["--times", "1"]),
-    ("certify", []),
+@pytest.mark.parametrize("command, extra, dt", [
+    pytest.param("observe", [], "0.375", id="observe-extra0"),
+    pytest.param("snapshot", ["--times", "1"], "0.375", id="snapshot-extra1"),
+    pytest.param("certify", [], "0.375", id="certify-extra2"),
+    # t_end / dt overflows a float: even simulate, which records no series, stops
+    pytest.param("observe", [], "1e-10", id="observe-overflow"),
+    pytest.param("simulate", [], "1e-10", id="simulate-overflow"),
+    pytest.param("snapshot", ["--times", "1"], "1e-10", id="snapshot-overflow"),
+    pytest.param("certify", [], "1e-10", id="certify-overflow"),
 ])
-def test_cli_enormous_horizon_exits_2_and_writes_nothing(tmp_path, capsys, command, extra):
+def test_cli_enormous_horizon_exits_2_and_writes_nothing(tmp_path, capsys, command, extra, dt):
     # finite, so the scenario parser accepts it, but no per-step series fits
     net, scn = _write_small_inputs(tmp_path)
-    scn.write_text(scn.read_text().replace("t_end 6", "t_end 1e300"))
+    scn.write_text(scn.read_text().replace("t_end 6", "t_end 1e300").replace("0.375", dt))
     out = tmp_path / "out"
     code = run_cli([command, "--network", str(net), "--scenario", str(scn), "--out", str(out),
                     *extra])
     err = _assert_rejected(code, capsys, out)
-    assert "t_end = 1e+300 s" in err and "dt = 0.375 s" in err and "steps" in err
+    assert "t_end = 1e+300 s" in err and f"dt = {dt} s" in err and "steps" in err
 
 
 @pytest.mark.parametrize("command, option", [

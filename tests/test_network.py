@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gasnetsim.bounds import upsilon0
 from gasnetsim.errors import ValidationError
 from gasnetsim.network import NetworkGraph, PipeSpec, junction_outflow, omega_v
-from gasnetsim.observer import diff_junction_outflow
+from gasnetsim.observer import diff_junction_outflow, observer_node_update
 
 
 def test_pipe_spec_validation():
@@ -128,6 +131,21 @@ def test_junction_involution_two_pipes(a, b):
     scale = max(1.0, abs(a), abs(b))
     assert abs(twice["x"] - a) <= 1e-12 * scale
     assert abs(twice["y"] - b) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("call", [
+    lambda mu: junction_outflow({"e": 1.0}, {"e": 0.5}, boundary_gain=(mu, 2.0)),
+    lambda mu: diff_junction_outflow({"e": 1.0, "f": 2.0}, {"e": 0.5, "f": 0.6}, mu),
+    lambda mu: observer_node_update(mu, {"e": 0.5}, {"e": 1.0}, u=2.0),
+    lambda mu: upsilon0(NetworkGraph([PipeSpec("p", "a", "b", 100.0, 0.5)]), {"a": mu, "b": 0}),
+], ids=["junction_outflow", "diff_junction_outflow", "observer_node_update", "upsilon0"])
+@pytest.mark.parametrize("mu", [math.nan, 1.5, -math.inf])
+def test_gain_outside_unit_interval_is_rejected(call, mu):
+    # NaN fails every comparison, so `abs(mu) > 1` would let it through
+    with pytest.raises(ValidationError, match=r"outside \[-1, 1\]"):
+        call(mu)
+    call(-1.0)
+    call(1.0)
 
 
 def test_graph_rejects_disconnected():

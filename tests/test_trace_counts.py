@@ -1,8 +1,8 @@
 """The traced benchmark run (perfbench/tracing.py) checks that the kernel's
 layer functions run once per pipe, node or boundary node per step.  This
-test runs the same tracer on a small cyclic network, so a refactor that
-changes how often they run fails in the tier-1 suite, not only in the
-benchmark."""
+test runs the same tracer on a small cyclic network for each of the four
+commands, so a refactor that changes how often they run fails in the
+tier-1 suite, not only in the benchmark."""
 
 import json
 import math
@@ -49,6 +49,8 @@ SCENARIO = (
 @pytest.mark.parametrize("command, extra, systems", [
     ("observe", ["--residual-stride", str(STRIDE)], 2),
     ("simulate", [], 1),
+    ("certify", [], 2),
+    ("snapshot", ["--times", "0,3"], 2),
 ])
 def test_traced_call_counts_follow_the_network(tmp_path, command, extra, systems):
     net, scn = tmp_path / "net.net", tmp_path / "scn.scn"
@@ -66,7 +68,9 @@ def test_traced_call_counts_follow_the_network(tmp_path, command, extra, systems
     assert m["solver.friction_calls"] == PIPES * STEPS * systems
     assert m["network.junction_calls"] == NODES * STEPS
     assert m["fileio.control_calls"] == BOUNDARY * STEPS
-    observe = command == "observe"
-    assert m["observer.diff_junction_calls"] == ((NODES - BOUNDARY) * STEPS if observe else 0)
+    # As in perfbench/run.py's expected_layer_counts: the error-system node
+    # map runs on every coupled run, the residuals only with a stride.
+    coupled = systems == 2
+    assert m["observer.diff_junction_calls"] == ((NODES - BOUNDARY) * STEPS if coupled else 0)
     assert m["diagnostics.residual_calls"] == (
-        NODES * math.ceil(STEPS / STRIDE) if observe else 0)
+        NODES * math.ceil(STEPS / STRIDE) if "--residual-stride" in extra else 0)
