@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,35 +69,38 @@ def snapshot_file_name(t: float) -> str:
     return f"t_{t:g}.csv"
 
 
-def quadrature(
-    plus: np.ndarray, minus: np.ndarray, grids: Mapping[PipeId, EdgeGrid], graph: NetworkGraph
-) -> float:
-    """Sum over pipes of (D^2/2) * dx * sum(plus^2 + minus^2) on that pipe's
-    cells, midpoint rule, for fields packed by `solver.pack`.  One dot per
-    pipe and field, summed in pipe order, so the value does not depend on
-    the packing."""
-    total = 0.0
-    start = 0
+def quadrature_weights(grids: Mapping[PipeId, EdgeGrid],
+                       graph: NetworkGraph) -> List[Tuple[slice, float]]:
+    """Each pipe's cells in fields packed by `solver.pack` and its weight
+    (D^2/2) * dx: the per-run constants of `quadrature`."""
+    spans, start = [], 0
     for p in graph.pipes:
         g = grids[p.id]
-        end = start + g.n_cells
-        a, b = plus[start:end], minus[start:end]
-        total += 0.5 * p.diameter ** 2 * g.dx * float(np.dot(a, a) + np.dot(b, b))
-        start = end
+        spans.append((slice(start, start + g.n_cells), 0.5 * p.diameter ** 2 * g.dx))
+        start += g.n_cells
+    return spans
+
+
+def quadrature(plus: np.ndarray, minus: np.ndarray,
+               weights: Sequence[Tuple[slice, float]]) -> float:
+    """Sum over pipes of (D^2/2) * dx * sum(plus^2 + minus^2) on that pipe's
+    cells, midpoint rule, with `quadrature_weights`.  One dot per pipe and
+    field, summed in pipe order, so the value does not depend on the
+    packing."""
+    total = 0.0
+    for cells, w in weights:
+        a, b = plus[cells], minus[cells]
+        total += w * float(np.dot(a, a) + np.dot(b, b))
     return total
 
 
 def lyapunov_l0(delta_grids: Mapping[PipeId, EdgeGrid], graph: NetworkGraph) -> float:
     """Network error functional: the `quadrature` of (delta_plus, delta_minus)."""
-    return quadrature(*pack(delta_grids, graph), delta_grids, graph)
+    return quadrature(*pack(delta_grids, graph), quadrature_weights(delta_grids, graph))
 
 
-def lyapunov_l1(
-    prev_grids: Mapping[PipeId, EdgeGrid],
-    next_grids: Mapping[PipeId, EdgeGrid],
-    graph: NetworkGraph,
-    dt: float,
-) -> float:
+def lyapunov_l1(prev_grids: Mapping[PipeId, EdgeGrid], next_grids: Mapping[PipeId, EdgeGrid],
+                graph: NetworkGraph, dt: float) -> float:
     """Same quadrature applied to the forward difference quotient in time.
 
     The quotient (delta^{n+1} - delta^n)/dt stands in for the time
@@ -109,15 +112,11 @@ def lyapunov_l1(
         raise ValidationError("lyapunov_l1 needs dt > 0")
     p0, m0 = pack(prev_grids, graph)
     p1, m1 = pack(next_grids, graph)
-    return quadrature((p1 - p0) / dt, (m1 - m0) / dt, prev_grids, graph)
+    return quadrature((p1 - p0) / dt, (m1 - m0) / dt, quadrature_weights(prev_grids, graph))
 
 
-def nodal_energy_residual(
-    delta_in: Mapping[PipeId, float],
-    delta_out: Mapping[PipeId, float],
-    mu: float,
-    diameters: Mapping[PipeId, float],
-) -> float:
+def nodal_energy_residual(delta_in: Mapping[PipeId, float], delta_out: Mapping[PipeId, float],
+                          mu: float, diameters: Mapping[PipeId, float]) -> float:
     """Relative defect of sum D^2 |out|^2 = mu^2 sum D^2 |in|^2 at one node.
 
     Normalized by the in-sum; defined as 0 when the in-sum vanishes.
@@ -129,11 +128,8 @@ def nodal_energy_residual(
     return abs(out_sum - mu * mu * in_sum) / in_sum
 
 
-def fit_decay_rate(
-    series: LyapunovSeries,
-    window: Tuple[float, float],
-    use_l1: bool = False,
-) -> Tuple[float, float]:
+def fit_decay_rate(series: LyapunovSeries, window: Tuple[float, float],
+                   use_l1: bool = False) -> Tuple[float, float]:
     """Least-squares exponential rate over a time window.
 
     Fits ln(L) ~ b - rate * t on the samples inside [t0, t1]; a nonpositive

@@ -7,12 +7,13 @@ coincide with the direction of the flow.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import ValidationError
+from .errors import ConfigurationError, ScheduleError, ValidationError
 
 NodeId = str
 PipeId = str
@@ -59,7 +60,13 @@ def check_gain(mu: float, node: Optional[NodeId]) -> None:
 
 def omega_v(diameters: Iterable[float]) -> float:
     """Junction coupling weight 2 / sum(D_f^2) over the pipes at a node."""
-    ds = list(diameters)
+    return _omega_v(tuple(diameters))
+
+
+@functools.lru_cache(maxsize=4096)
+def _omega_v(ds: Tuple[float, ...]) -> float:
+    # Fixed per node, so every node map of a run after the first is a lookup;
+    # an error is not cached and is raised again on every call.
     if not ds:
         raise ValidationError("omega_v needs at least one diameter")
     if any(not d > 0 for d in ds):
@@ -67,11 +74,8 @@ def omega_v(diameters: Iterable[float]) -> float:
     return 2.0 / sum(d * d for d in ds)
 
 
-def junction_outflow(
-    incoming: Mapping[PipeId, float],
-    diameters: Mapping[PipeId, float],
-    boundary_gain: Optional[Tuple[float, float]] = None,
-) -> Dict[PipeId, float]:
+def junction_outflow(incoming: Mapping[PipeId, float], diameters: Mapping[PipeId, float],
+                     boundary_gain: Optional[Tuple[float, float]] = None) -> Dict[PipeId, float]:
     """Outgoing Riemann invariants at one node, given the incoming ones.
 
     Interior node (two or more pipes):
@@ -100,11 +104,27 @@ def junction_outflow(
     return {e: w * total - r for e, r in incoming.items()}
 
 
+class PlanNode(NamedTuple):
+    """The per-run constants of one node map (see `NetworkGraph.node_plan`)."""
+
+    node: NodeId
+    reads: Tuple[Tuple[PipeId, bool], ...]  # (pipe, the node is its to_node) per pipe
+    diameters: Dict[PipeId, float]
+    mu: Optional[float]  # checked; None at an interior node without a gain
+    control: Optional[Callable[[float], float]]  # None at an interior node
+
+    def incoming(self, grids) -> Dict[PipeId, float]:
+        """The node's incoming invariants in `grids` (pipe id -> EdgeGrid): R+
+        at x = L of a pipe it is the to_node of, R- at x = 0 otherwise."""
+        return {e: grids[e].r_plus.item(-1) if at_to else grids[e].r_minus.item(0)
+                for e, at_to in self.reads}
+
+
 class NetworkGraph:
     """Immutable pipe network with cached incident pipes per node.
 
     The per-node diameter tables are precomputed because every node map
-    reads them on every time step; the node maps compute omega_v from them.
+    reads them on every time step; `omega_v` of a table is memoised.
     """
 
     def __init__(self, pipes: Sequence[PipeSpec]):
@@ -137,6 +157,7 @@ class NetworkGraph:
         self.boundary_nodes: Tuple[NodeId, ...] = tuple(
             v for v in self.nodes if len(self._incident[v]) == 1
         )
+        self._plan: tuple = (None,) * 5  # controls, gains, copies of both, plan
 
     def _check_connected(self) -> None:
         seen = {self.nodes[0]}
@@ -163,6 +184,32 @@ class NetworkGraph:
             return self._diameters[v]
         except KeyError:
             raise ValidationError(f"unknown node id {v!r}") from None
+
+    def node_plan(
+        self, controls: Mapping[NodeId, Callable[[float], float]], gains: Mapping[NodeId, float]
+    ) -> Tuple[PlanNode, ...]:
+        """One `PlanNode` per node, in `nodes` order; every boundary node needs
+        a control and a gain.  The plan is built once and returned again while
+        the same two mappings are passed unchanged."""
+        last = self._plan  # read once: the tuple is replaced, never changed
+        if last[0] is controls and last[1] is gains and last[2] == controls \
+                and last[3] == gains:
+            return last[4]
+        nodes = []
+        for v in self.nodes:
+            mu, boundary = gains.get(v), len(self._incident[v]) == 1
+            if boundary and v not in controls:
+                raise ScheduleError(f"no boundary control for node {v!r}")
+            if boundary and mu is None:
+                raise ConfigurationError(f"no boundary gain mu for node {v!r}")
+            if mu is not None:
+                check_gain(mu, v)
+            reads = tuple((p.id, v == p.to_node) for p in self._incident[v])
+            nodes.append(PlanNode(v, reads, self._diameters[v], mu,
+                                  controls[v] if boundary else None))
+        plan = tuple(nodes)
+        self._plan = (controls, gains, dict(controls), dict(gains), plan)
+        return plan
 
     def with_theta(self, theta: float) -> "NetworkGraph":
         """Copy of the graph with a uniform friction coefficient on all pipes."""

@@ -12,18 +12,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import ConfigurationError, ValidationError
-from .network import NetworkGraph, NodeId, PipeId, PipeSpec, check_gain, omega_v
-from .solver import (
-    Control,
-    EdgeGrid,
-    SimState,
-    control_values,
-    friction_root_shifted,
-    gather_node_inputs,
-    node_outputs,
-    step_system,
-    transport,
-)
+from .network import NetworkGraph, NodeId, PipeId, PipeSpec, check_gain, junction_outflow, omega_v
+from .solver import (Control, EdgeGrid, SimState, friction_root_shifted, gather_node_inputs,
+                     step_system, transport)
 
 
 @dataclass
@@ -69,9 +60,7 @@ class NodalTrace:
 
 
 def diff_junction_outflow(
-    delta_in: Mapping[PipeId, float],
-    diameters: Mapping[PipeId, float],
-    mu: float,
+    delta_in: Mapping[PipeId, float], diameters: Mapping[PipeId, float], mu: float
 ) -> Dict[PipeId, float]:
     """Error-invariant node map at an interior node.
 
@@ -87,9 +76,8 @@ def diff_junction_outflow(
 
 
 def error_node_outputs(
-    graph: NetworkGraph,
-    delta_in: Mapping[NodeId, Mapping[PipeId, float]],
-    mu: Mapping[NodeId, float],
+    graph: NetworkGraph, delta_in: Mapping[NodeId, Mapping[PipeId, float]],
+    mu: Mapping[NodeId, float]
 ) -> Dict[NodeId, Dict[PipeId, float]]:
     """Outgoing error invariants at every node: mu * delta_in at boundary
     nodes, `diff_junction_outflow` at interior nodes."""
@@ -135,35 +123,45 @@ def observer_node_update(
 
 
 def step_coupled(
-    cs: CoupledState,
-    graph: NetworkGraph,
-    collect_nodal: bool = False,
+    cs: CoupledState, graph: NetworkGraph, collect_nodal: bool = False
 ) -> Tuple[CoupledState, Optional[Dict[NodeId, NodalTrace]]]:
     """Advance truth and observer together by one tick.
 
     Both node maps read the previous-step edge states (one shared
     measurement snapshot) and the same control values u(t), then the two
-    systems advance independently.
+    systems advance independently.  One pass over `graph.node_plan` gives
+    every node's truth map, error map (as `error_node_outputs`) and observer
+    map (as `observer_node_update`).
     """
-    cfg = cs.config
-    s, r = cs.s_state, cs.r_state
-    u = control_values(graph, cfg.controls, s.t)
-    s_in = gather_node_inputs(s, graph)
-    r_in = gather_node_inputs(r, graph)
-    s_out = node_outputs(graph, s_in, u, cfg.mu)
-    d_in = {v: {e: r_in[v][e] - x for e, x in ins.items()} for v, ins in s_in.items()}
-    d_out = error_node_outputs(graph, d_in, cfg.mu)
+    cfg, s, r = cs.config, cs.s_state, cs.r_state
+    s_out: Dict[NodeId, Dict[PipeId, float]] = {}
     r_out: Dict[NodeId, Dict[PipeId, float]] = {}
-    # Boundary nodes keep the truth map's form (1 - mu) u + mu R_in; the
-    # equal S_out + mu delta rounds differently.
-    for v, so in s_out.items():
-        if len(so) == 1:
-            r_out[v] = observer_node_update(cfg.mu[v], graph.diameters_at(v), r_in[v], u=u[v])
+    traces: Optional[Dict[NodeId, NodalTrace]] = {} if collect_nodal else None
+    for v, reads, diam, mu, control in graph.node_plan(cfg.controls, cfg.mu):
+        # One loop, not a comprehension per map: this runs per node and step.
+        s_in, r_in, d_in = {}, {}, {}
+        for e, at_to in reads:
+            sg, rg = s.grids[e], r.grids[e]
+            if at_to:
+                x, y = sg.r_plus.item(-1), rg.r_plus.item(-1)
+            else:
+                x, y = sg.r_minus.item(0), rg.r_minus.item(0)
+            s_in[e], r_in[e], d_in[e] = x, y, y - x
+        if control is None:
+            if mu is None:
+                raise ConfigurationError(f"no gain mu for node {v!r}")
+            so = s_out[v] = junction_outflow(s_in, diam)
+            d_out = diff_junction_outflow(d_in, diam, mu)
+            r_out[v] = {e: so[e] + d_out[e] for e in so}
         else:
-            r_out[v] = {e: so[e] + d_out[v][e] for e in so}
-    traces = None
-    if collect_nodal:
-        traces = {v: NodalTrace(cfg.mu[v], d_in[v], d_out[v]) for v in graph.nodes}
+            # e, y: the one pipe and R_in.  The observer keeps the truth map's
+            # form (1 - mu) u + mu R_in; S_out + mu delta rounds differently.
+            u = control(s.t)
+            s_out[v] = junction_outflow(s_in, diam, (mu, u))
+            r_out[v] = {e: (1.0 - mu) * u + mu * y}
+            d_out = {e: mu * d_in[e]}
+        if traces is not None:
+            traces[v] = NodalTrace(mu, d_in, d_out)
     s_next = step_system(s, graph, cfg.controls, cfg.mu, node_outs=s_out)
     r_next = step_system(r, graph, cfg.controls, cfg.mu, node_outs=r_out)
     return CoupledState(s_next, r_next, cfg), traces

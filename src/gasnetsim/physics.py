@@ -2,7 +2,8 @@
 
 The invariants are R_pm = Rt(rho) +- q/rho with Rt(rho) = int_1^rho
 sqrt(p'(r))/r dr.  Every law here has a closed form for Rt and its inverse,
-vectorised over numpy arrays.
+vectorised over numpy arrays.  `rtilde` and `density_from_pressure` take a
+Python float without making an array of it, with the bits of the 0-d call.
 """
 
 from __future__ import annotations
@@ -15,6 +16,15 @@ import numpy as np
 from .errors import DomainError, ValidationError
 
 ArrayLike = Union[float, np.ndarray]
+
+
+def _values(x: ArrayLike) -> ArrayLike:
+    """A Python float as it is, anything else as a float array."""
+    return x if type(x) is float else np.asarray(x, dtype=float)
+
+
+def _any(mask) -> bool:
+    return mask if type(mask) is bool else bool(mask.any())
 
 
 @dataclass(frozen=True)
@@ -58,8 +68,11 @@ class PressureLaw:
         return math.sqrt(float(self.dpressure(self.rho_ref)))
 
     def _check_rho(self, rho: ArrayLike) -> None:
-        arr = np.asarray(rho, dtype=float)
-        if not (np.isfinite(arr).all() and (arr > 0.0).all()):
+        if type(rho) is float:
+            ok = 0.0 < rho < math.inf  # False for NaN, as on arrays
+        else:
+            ok = np.isfinite(arr := np.asarray(rho, dtype=float)).all() and (arr > 0.0).all()
+        if not ok:
             raise DomainError(f"density must be positive and finite, got {rho}")
 
     def _validate_monotone(self) -> None:
@@ -95,8 +108,8 @@ class IsothermalLaw(PressureLaw):
         return np.full_like(np.asarray(rho, dtype=float), self.c ** 2)
 
     def density_from_pressure(self, p: ArrayLike) -> ArrayLike:
-        p = np.asarray(p, dtype=float)
-        if (p <= 0).any():
+        p = _values(p)
+        if _any(p <= 0):
             raise DomainError("isothermal density needs positive pressure")
         return p / self.c ** 2
 
@@ -133,15 +146,17 @@ class IsentropicLaw(PressureLaw):
         return self.a * self.gamma * np.asarray(rho, dtype=float) ** (self.gamma - 1.0)
 
     def density_from_pressure(self, p: ArrayLike) -> ArrayLike:
-        p = np.asarray(p, dtype=float)
-        if (p <= 0).any():
+        p = _values(p)
+        if _any(p <= 0):
             raise DomainError("isentropic density needs positive pressure")
+        # A 0-d p / a is a numpy scalar, whose ** is libm's pow, as a float's
+        # is; an array's ** runs numpy's loop.
         return (p / self.a) ** (1.0 / self.gamma)
 
     def rtilde(self, rho: ArrayLike) -> ArrayLike:
         self._check_rho(rho)
-        rho = np.asarray(rho, dtype=float)
-        return self._k * (rho ** ((self.gamma - 1.0) / 2.0) - 1.0)
+        # np.power runs numpy's loop on a float too, as ** does on an array.
+        return self._k * (np.power(_values(rho), (self.gamma - 1.0) / 2.0) - 1.0)
 
     def rtilde_inverse(self, r: ArrayLike) -> ArrayLike:
         r = np.asarray(r, dtype=float)
@@ -186,18 +201,21 @@ class AgaLaw(PressureLaw):
         return self.rs_t / denom ** 2
 
     def density_from_pressure(self, p: ArrayLike) -> ArrayLike:
-        p = np.asarray(p, dtype=float)
-        if (p <= 0).any():
+        p = _values(p)
+        if _any(p <= 0):
             raise DomainError("AGA density needs positive pressure")
-        rho = p / (self.rs_t + self.alpha * p)
-        if (rho <= 0).any():
+        try:
+            rho = p / (self.rs_t + self.alpha * p)
+        except ZeroDivisionError:  # a float p at the pole: inf, as an array gets
+            rho = math.inf
+        if _any(rho <= 0):
             raise DomainError("pressure outside the AGA admissible range")
         return rho
 
     def rtilde(self, rho: ArrayLike) -> ArrayLike:
         # sqrt(Rs*T) * ln(rho (1 - alpha) / (1 - alpha rho))
         self._check_rho(rho)
-        rho = np.asarray(rho, dtype=float)
+        rho = _values(rho)
         return math.sqrt(self.rs_t) * (
             np.log(rho) + math.log1p(-self.alpha) - np.log1p(-self.alpha * rho)
         )

@@ -9,25 +9,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .diagnostics import (
-    LyapunovSeries,
-    RegularityTracker,
-    SnapshotFrame,
-    nodal_energy_residual,
-    quadrature,
-    snapshot_file_name,
-)
+from .diagnostics import (LyapunovSeries, RegularityTracker, SnapshotFrame, nodal_energy_residual,
+                          quadrature, quadrature_weights, snapshot_file_name)
 from .errors import NumericalError, ValidationError
 from .fileio import ScenarioSpec, make_boundary_control
 from .network import NetworkGraph, NodeId
-from .observer import (
-    CoupledState,
-    ObserverConfig,
-    SimState,
-    difference_state,
-    step_coupled,
-    step_system,
-)
+from .observer import (CoupledState, ObserverConfig, SimState, difference_state, step_coupled,
+                       step_system)
 from .physics import PressureLaw
 from .solver import build_grids, pack
 
@@ -57,11 +45,16 @@ def assemble(graph: NetworkGraph, scenario: ScenarioSpec) -> Assembled:
     c = law.sound_speed()
     eff_graph = graph.with_theta(scenario.theta)
     dt = scenario.dt if scenario.dt is not None else default_dt(eff_graph, c)
+    horizon = f"t_end = {scenario.t_end!r} s at dt = {dt!r} s is"
     try:
         n_steps = int(math.ceil(scenario.t_end / dt - 1e-12))
     except OverflowError:
-        raise ValidationError(f"t_end = {scenario.t_end!r} s at dt = {dt!r} s is more steps "
-                              "than a float can count") from None
+        raise ValidationError(f"{horizon} more steps than a float can count") from None
+    try:  # the recording loops keep a value per step; no run is longer
+        np.empty(n_steps + 1)
+    except (ValueError, MemoryError):
+        raise ValidationError(f"{horizon} {n_steps:.6g} steps, too many to record a value "
+                              "per step") from None
     mu = scenario.resolve_mu(eff_graph)
     controls = {
         v: make_boundary_control(scenario.schedule_for(v), eff_graph.incident_pipes(v)[0], law)
@@ -150,17 +143,14 @@ def run_observer_pair(
     cs = CoupledState(asm.s_state, asm.r_state, asm.config)
     n = asm.n_steps
     snap_steps = _snapshot_steps(snapshot_times, asm.dt, n)
-    try:
-        times = np.empty(n + 1)
-        l0 = np.empty(n + 1)
-        l1 = np.empty(n) if record_l1 else None
-    except (ValueError, MemoryError):
-        raise ValidationError(f"t_end = {scenario.t_end!r} s at dt = {asm.dt!r} s is {n:.6g} "
-                              "steps, too many to record a value per step") from None
+    times = np.empty(n + 1)
+    l0 = np.empty(n + 1)
+    l1 = np.empty(n) if record_l1 else None
     residuals: List[Tuple[float, NodeId, float]] = []
     snapshots: List[SnapshotFrame] = []
     net, dt = asm.graph, asm.dt
     tracker = RegularityTracker(dt)
+    weights = quadrature_weights(cs.s_state.grids, net)
     prev_dp = prev_dm = None
     for k in range(n + 1):
         if k > 0:
@@ -175,11 +165,11 @@ def run_observer_pair(
         rp, rm = pack(cs.r_state.grids, net)
         dp, dm = rp - sp, rm - sm
         times[k] = cs.t
-        l0[k] = quadrature(dp, dm, grids, net)
+        l0[k] = quadrature(dp, dm, weights)
         if not math.isfinite(l0[k]):
             raise NumericalError(f"simulation blew up: L0 is not finite at t={cs.t}")
         if l1 is not None and k > 0:
-            l1[k - 1] = quadrature((dp - prev_dp) / dt, (dm - prev_dm) / dt, grids, net)
+            l1[k - 1] = quadrature((dp - prev_dp) / dt, (dm - prev_dm) / dt, weights)
         prev_dp, prev_dm = dp, dm
         tracker.observe(sp - sm, rp - rm)
         if k in snap_steps:

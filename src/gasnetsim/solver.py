@@ -15,10 +15,11 @@ from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, ScheduleError, ValidationError
+from .errors import ConfigurationError, ValidationError
 from .network import NetworkGraph, NodeId, PipeId, PipeSpec, junction_outflow
 
 Control = Callable[[float], float]
+ArrayLike = Union[float, np.ndarray]
 
 MODE_EXACT = "exact-advection"
 MODE_CFL_SAFE = "cfl-safe"
@@ -66,13 +67,8 @@ class SimState:
         return self.step_index * self.dt
 
 
-def build_grids(
-    graph: NetworkGraph,
-    c: float,
-    dt: float,
-    mode: str = MODE_EXACT,
-    fill: float = 0.0,
-) -> Dict[PipeId, EdgeGrid]:
+def build_grids(graph: NetworkGraph, c: float, dt: float, mode: str = MODE_EXACT,
+                fill: float = 0.0) -> Dict[PipeId, EdgeGrid]:
     """Discretize every pipe for time step dt at sound speed c.
 
     cfl-safe mode keeps the exact pipe length: n = floor(L/(c dt)),
@@ -105,15 +101,8 @@ def build_grids(
             dx = c * dt
             cfl = 1.0
             pert = abs(n * dx - p.length) / p.length
-        grids[p.id] = EdgeGrid(
-            pipe=p.id,
-            n_cells=n,
-            dx=dx,
-            cfl=cfl,
-            r_plus=np.full(n, fill, dtype=float),
-            r_minus=np.full(n, fill, dtype=float),
-            length_perturbation=pert,
-        )
+        grids[p.id] = EdgeGrid(p.id, n, dx, cfl, np.full(n, fill, dtype=float),
+                               np.full(n, fill, dtype=float), length_perturbation=pert)
     return grids
 
 
@@ -128,26 +117,19 @@ def advect_step(grid: EdgeGrid, inflow_plus: float, inflow_minus: float) -> Edge
     p, m = grid.r_plus, grid.r_minus
     new_p = np.empty_like(p)
     new_m = np.empty_like(m)
-    if lam == 1.0:
-        new_p[0] = inflow_plus
-        new_p[1:] = p[:-1]
-        new_m[-1] = inflow_minus
-        new_m[:-1] = m[1:]
-    else:
-        new_p[0] = inflow_plus
-        new_p[1:] = p[:-1]
+    new_p[0] = inflow_plus
+    new_p[1:] = p[:-1]
+    new_m[-1] = inflow_minus
+    new_m[:-1] = m[1:]
+    if lam != 1.0:
         new_p *= lam
         new_p += (1.0 - lam) * p
-        new_m[-1] = inflow_minus
-        new_m[:-1] = m[1:]
         new_m *= lam
         new_m += (1.0 - lam) * m
-    return EdgeGrid(
-        grid.pipe, grid.n_cells, grid.dx, lam, new_p, new_m, grid.length_perturbation
-    )
+    return EdgeGrid(grid.pipe, grid.n_cells, grid.dx, lam, new_p, new_m, grid.length_perturbation)
 
 
-def friction_root(d_star: Union[float, np.ndarray], a: float) -> Union[float, np.ndarray]:
+def friction_root(d_star: ArrayLike, a: float) -> ArrayLike:
     """Root of d + a |d| d = d_star for a >= 0, in a cancellation-free form.
 
     d = 2 d_star / (1 + sqrt(1 + 4 a |d_star|)); exact for a = 0 and
@@ -158,11 +140,7 @@ def friction_root(d_star: Union[float, np.ndarray], a: float) -> Union[float, np
     return 2.0 * d_star / (1.0 + np.sqrt(1.0 + 4.0 * a * np.abs(d_star)))
 
 
-def friction_root_shifted(
-    d_star: Union[float, np.ndarray],
-    d_frozen: Union[float, np.ndarray],
-    a: float,
-) -> Union[float, np.ndarray]:
+def friction_root_shifted(d_star: ArrayLike, d_frozen: ArrayLike, a: float) -> ArrayLike:
     """Root of d + a (|d + s|(d + s) - |s| s) = d_star with s = d_frozen.
 
     Substituting u = d + s turns this into u + a |u| u = d_star + s + a |s| s,
@@ -211,38 +189,6 @@ def gather_node_inputs(
     return vals
 
 
-def control_values(
-    graph: NetworkGraph, controls: Mapping[NodeId, Control], t: float
-) -> Dict[NodeId, float]:
-    """u(t) at every boundary node, each control evaluated once."""
-    u: Dict[NodeId, float] = {}
-    for v in graph.boundary_nodes:
-        if v not in controls:
-            raise ScheduleError(f"no boundary control for node {v!r}")
-        u[v] = controls[v](t)
-    return u
-
-
-def node_outputs(
-    graph: NetworkGraph,
-    node_inputs: Mapping[NodeId, Mapping[PipeId, float]],
-    u: Mapping[NodeId, float],
-    gains: Mapping[NodeId, float],
-) -> Dict[NodeId, Dict[PipeId, float]]:
-    """Outgoing invariants at every node; boundary nodes consume (mu, u(t))."""
-    outs: Dict[NodeId, Dict[PipeId, float]] = {}
-    for v, incoming in node_inputs.items():
-        if len(incoming) == 1:
-            if v not in gains:
-                raise ConfigurationError(f"no boundary gain mu for node {v!r}")
-            outs[v] = junction_outflow(
-                incoming, graph.diameters_at(v), boundary_gain=(gains[v], u[v])
-            )
-        else:
-            outs[v] = junction_outflow(incoming, graph.diameters_at(v))
-    return outs
-
-
 def transport(
     state: SimState,
     graph: NetworkGraph,
@@ -273,15 +219,18 @@ def step_system(
 ) -> SimState:
     """Advance the truth system by one tick.
 
-    Order per tick: read the node-adjacent cells of the previous step,
-    evaluate the node maps, advect every edge with those outputs as ghost
-    inflows, then apply the friction step cellwise.  `node_outs` lets a
+    Order per tick: one pass over `graph.node_plan` reads the node-adjacent
+    cells of the previous step and evaluates the node maps, every edge is
+    advected with those outputs as ghost inflows, then the friction step
+    applies cellwise.  `node_outs` lets a
     caller inject precomputed node outputs (the coupled stepper does this so
     both systems share one measurement snapshot).
     """
     if node_outs is None:
-        u = control_values(graph, controls, state.t)
-        node_outs = node_outputs(graph, gather_node_inputs(state, graph), u, gains)
+        node_outs = {}
+        for n in graph.node_plan(controls, gains):
+            gain = None if n.control is None else (n.mu, n.control(state.t))
+            node_outs[n.node] = junction_outflow(n.incoming(state.grids), n.diameters, gain)
     dt = state.dt
     return transport(
         state, graph, node_outs, lambda p, g: friction_step(g.r_plus, g.r_minus, p.nu, dt)

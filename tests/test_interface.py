@@ -552,6 +552,7 @@ def test_cli_snapshot_beyond_horizon_lands_on_last_step(tmp_path):
     pytest.param("observe", [], "0.375", id="observe-extra0"),
     pytest.param("snapshot", ["--times", "1"], "0.375", id="snapshot-extra1"),
     pytest.param("certify", [], "0.375", id="certify-extra2"),
+    pytest.param("simulate", [], "0.375", id="simulate-extra3"),
     # t_end / dt overflows a float: even simulate, which records no series, stops
     pytest.param("observe", [], "1e-10", id="observe-overflow"),
     pytest.param("simulate", [], "1e-10", id="simulate-overflow"),
@@ -563,8 +564,16 @@ def test_cli_enormous_horizon_exits_2_and_writes_nothing(tmp_path, capsys, comma
     net, scn = _write_small_inputs(tmp_path)
     scn.write_text(scn.read_text().replace("t_end 6", "t_end 1e300").replace("0.375", dt))
     out = tmp_path / "out"
-    code = run_cli([command, "--network", str(net), "--scenario", str(scn), "--out", str(out),
-                    *extra])
+    argv = [command, "--network", str(net), "--scenario", str(scn), "--out", str(out), *extra]
+    if command == "simulate":
+        # A simulate that steps for ever must not hang the suite: own process, time limit.
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        done = subprocess.run([sys.executable, "-m", "gasnetsim.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        print(done.stderr, file=sys.stderr, end="")
+        code = done.returncode
+    else:
+        code = run_cli(argv)
     err = _assert_rejected(code, capsys, out)
     assert "t_end = 1e+300 s" in err and f"dt = {dt} s" in err and "steps" in err
 

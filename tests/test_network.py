@@ -85,6 +85,19 @@ def test_junction_validation():
         diff_junction_outflow({"a": 1.0, "b": 2.0}, {"a": 1.0, "c": 1.0}, 0.5)
 
 
+def test_node_plan_is_reused_until_a_mapping_changes(five_pipe):
+    controls = {v: (lambda t: 0.0) for v in five_pipe.boundary_nodes}
+    gains = {v: 0.5 for v in five_pipe.nodes}
+    plan = five_pipe.node_plan(controls, gains)
+    assert five_pipe.node_plan(controls, gains) is plan
+    assert five_pipe.node_plan(dict(controls), gains) is not plan
+    gains["n0"] = 0.25  # changed in place: the plan is built again
+    assert [n.mu for n in five_pipe.node_plan(controls, gains) if n.node == "n0"] == [0.25]
+    gains["n0"] = math.nan
+    with pytest.raises(ValidationError, match="node 'n0'"):
+        five_pipe.node_plan(controls, gains)
+
+
 def test_unknown_node_lookups_raise(five_pipe):
     for lookup in (five_pipe.diameters_at, five_pipe.incident_pipes):
         with pytest.raises(ValidationError, match="unknown node id 'nx'"):

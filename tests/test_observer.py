@@ -8,12 +8,13 @@ from gasnetsim.bounds import upsilon0
 from gasnetsim.diagnostics import lyapunov_l0, nodal_energy_residual
 from gasnetsim.errors import ConfigurationError, ValidationError
 from gasnetsim.fileio import InitialCondition, ScenarioSpec
-from gasnetsim.network import junction_outflow
+from gasnetsim.network import NetworkGraph, PipeSpec, junction_outflow
 from gasnetsim.observer import (
     CoupledState,
     ObserverConfig,
     difference_state,
     direct_diff_step,
+    error_node_outputs,
     observer_node_update,
     step_coupled,
 )
@@ -23,9 +24,8 @@ from gasnetsim.solver import (
     SimState,
     advect_step,
     build_grids,
-    control_values,
+    friction_step,
     gather_node_inputs,
-    node_outputs,
     step_system,
 )
 
@@ -77,11 +77,18 @@ def test_measure_nodal_interior_out_is_junction_map(five_pipe):
     for g in grids.values():
         g.r_plus[:] = rng.uniform(-1, 1, g.n_cells)
         g.r_minus[:] = rng.uniform(-1, 1, g.n_cells)
-    ins = gather_node_inputs(SimState(grids=grids, dt=0.5), five_pipe)
-    u = control_values(five_pipe, {v: (lambda t: 0.0) for v in five_pipe.boundary_nodes}, 0.0)
-    outs = node_outputs(five_pipe, ins, u, {v: 0.5 for v in five_pipe.nodes})
+    state = SimState(grids=grids, dt=0.5)
+    ins = gather_node_inputs(state, five_pipe)
+    controls = {v: (lambda t: 0.0) for v in five_pipe.boundary_nodes}
+    gains = {v: 0.5 for v in five_pipe.nodes}
+    plan = {n.node: n for n in five_pipe.node_plan(controls, gains)}
+    # five_pipe has no friction, so the ghost cells hold the node outputs
+    nxt = step_system(state, five_pipe, controls, gains).grids
     for v in ("n2", "n3"):
-        assert outs[v] == junction_outflow(ins[v], five_pipe.diameters_at(v))
+        assert plan[v].incoming(grids) == ins[v] and plan[v].control is None
+        outs = {p.id: nxt[p.id].r_plus[0] if v == p.from_node else nxt[p.id].r_minus[-1]
+                for p in five_pipe.incident_pipes(v)}
+        assert outs == junction_outflow(ins[v], five_pipe.diameters_at(v))
 
 
 def test_observer_update_mu_zero_copies_truth():
@@ -386,3 +393,73 @@ def test_new_grids_keep_pipe_geometry(cfl):
     delta = difference_state(SimState({"q": grid(3.0)}, dt=0.5), SimState({"q": grid(1.0)}, dt=0.5))
     assert geometry(delta.grids["q"]) == geometry(grid(3.0))
     assert delta.grids["q"].r_plus.tolist() == [2.0] * 5
+
+
+@st.composite
+def coupled_steps(draw):
+    """A connected 1-6-pipe network (a tree, or a tree plus one pipe that
+    closes a cycle), truth and observer states on it, gains in [-1, 1] and
+    boundary controls."""
+    n_pipes = draw(st.integers(1, 6))
+    cyclic = n_pipes > 1 and draw(st.booleans())
+    ends = [(draw(st.integers(0, i)), i + 1) for i in range(n_pipes - cyclic)]
+    if cyclic:
+        a = draw(st.integers(0, n_pipes - 1))
+        ends.append((a, draw(st.integers(0, n_pipes - 1).filter(lambda b: b != a))))
+    theta = draw(st.sampled_from([0.0, 0.02]))
+    pipes = [PipeSpec(f"p{i}", *(f"n{a}", f"n{b}")[::draw(st.sampled_from([1, -1]))],
+                      draw(st.floats(340.0, 1200.0)), draw(st.floats(0.3, 1.2)), theta)
+             for i, (a, b) in enumerate(ends)]
+    graph = NetworkGraph(pipes)
+    dt = 0.375
+    mode = draw(st.sampled_from(["exact-advection", "cfl-safe"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states = []
+    for _ in range(2):
+        grids = build_grids(graph, 340.0, dt, mode=mode)
+        for g in grids.values():
+            g.r_plus[:] = rng.normal(1300.0, 50.0, g.n_cells)
+            g.r_minus[:] = rng.normal(1300.0, 50.0, g.n_cells)
+        states.append(SimState(grids=grids, dt=dt, step_index=draw(st.integers(0, 5))))
+    states[1].step_index = states[0].step_index
+    mu = {v: draw(st.floats(-1.0, 1.0)) for v in graph.nodes}
+    controls = {v: (lambda t, a=rng.normal(1300.0, 50.0), b=rng.normal(): a + b * t)
+                for v in graph.boundary_nodes}
+    return graph, CoupledState(*states, ObserverConfig(mu=mu, controls=controls))
+
+
+@given(coupled_steps())
+def test_coupled_step_equals_per_node_references(case):
+    graph, cs = case
+    mu, controls, t, dt = cs.config.mu, cs.config.controls, cs.t, cs.s_state.dt
+    nxt, traces = step_coupled(cs, graph, collect_nodal=True)
+
+    def incoming(state):
+        return {v: {p.id: state.grids[p.id].r_plus.item(-1) if v == p.to_node
+                    else state.grids[p.id].r_minus.item(0) for p in graph.incident_pipes(v)}
+                for v in graph.nodes}
+
+    s_in, r_in = incoming(cs.s_state), incoming(cs.r_state)
+    s_out, r_out = {}, {}
+    for v in graph.nodes:
+        diam = graph.diameters_at(v)
+        if v in graph.boundary_nodes:
+            u = controls[v](t)
+            s_out[v] = junction_outflow(s_in[v], diam, boundary_gain=(mu[v], u))
+            r_out[v] = observer_node_update(mu[v], diam, r_in[v], u=u)
+        else:
+            s_out[v] = junction_outflow(s_in[v], diam)
+            r_out[v] = observer_node_update(mu[v], diam, r_in[v], s_in[v], s_out[v])
+    for before, after, outs in ((cs.s_state, nxt.s_state, s_out),
+                                (cs.r_state, nxt.r_state, r_out)):
+        assert after.step_index == before.step_index + 1
+        for p in graph.pipes:
+            g = advect_step(before.grids[p.id], outs[p.from_node][p.id], outs[p.to_node][p.id])
+            rp, rm = friction_step(g.r_plus, g.r_minus, p.nu, dt)
+            assert np.array_equal(after.grids[p.id].r_plus, rp)
+            assert np.array_equal(after.grids[p.id].r_minus, rm)
+    d_in = {v: {e: r_in[v][e] - x for e, x in ins.items()} for v, ins in s_in.items()}
+    d_out = error_node_outputs(graph, d_in, mu)
+    assert list(traces) == list(graph.nodes)
+    for v, tr in traces.items():
+        assert (tr.mu, tr.delta_in, tr.delta_out) == (mu[v], d_in[v], d_out[v])

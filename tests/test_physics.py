@@ -234,3 +234,52 @@ def test_domain_checks_reject_the_same_inputs(law, bad, shape):
         assert rtilde_rejected_before(x)
     empty = np.array([])
     assert law.rtilde(empty).shape == law.density_from_pressure(empty).shape == (0,)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("law", LAWS, ids=["isothermal", "isentropic-2", "isentropic-1.4", "aga"])
+def test_float_path_equals_0d_bit_for_bit(law):
+    # A Python float takes the law's float path; np.asarray(x) the array path.
+    rng = np.random.default_rng(11)
+    rhos = (law.rho_ref * 10.0 ** rng.uniform(-3, 3, 10_000)).tolist()
+    pressures = [float(law.pressure(rho)) for rho in rhos]
+    for method, xs in ((law.rtilde, rhos), (law.density_from_pressure, pressures)):
+        on_floats = [method(x) for x in xs]
+        on_0d = [method(np.asarray(x)) for x in xs]
+        assert np.array_equal(_bits(on_floats), _bits(on_0d))
+
+
+@pytest.mark.parametrize("law", LAWS, ids=["isothermal", "isentropic-2", "isentropic-1.4", "aga"])
+def test_boundary_control_equals_0d_schedule(law):
+    from gasnetsim.fileio import BAR, BoundaryPoint, make_boundary_control
+    from gasnetsim.network import PipeSpec
+
+    rng = np.random.default_rng(12)
+    pipe = PipeSpec("p", "a", "b", 1000.0, 0.7)
+    # Breakpoint pressures in bar whose densities lie in rho_ref * [0.01, 100].
+    rho_bar = [float(law.pressure(law.rho_ref * 10.0 ** x)) / BAR for x in (-2.0, 2.0)]
+    for _ in range(20):
+        n = int(rng.integers(1, 6))
+        ts = np.cumsum(rng.uniform(0.1, 50.0, n)) - 0.1
+        ps = rng.uniform(*rho_bar, n)
+        ms = rng.uniform(-300.0, 300.0, n)
+        control = make_boundary_control(
+            [BoundaryPoint(*map(float, row)) for row in zip(ts, ps, ms)], pipe, law)
+        times = rng.uniform(0.0, 1.2 * ts[-1], 500).tolist()
+        got = [control(t) for t in times]
+        want = []
+        for t in times:
+            rho = float(law.density_from_pressure(np.asarray(float(np.interp(t, ts, ps)) * BAR)))
+            m = float(np.interp(t, ts, ms))
+            want.append(float(law.rtilde(np.asarray(rho))) + m / (rho * pipe.area))
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_aga_density_at_the_pole_is_inf_on_both_paths():
+    law = AgaLaw(rs_t=1.0e5, alpha=-0.5)  # rs_t + alpha p is exactly 0 at p = 2e5 Pa
+    with np.errstate(divide="ignore"):
+        assert law.density_from_pressure(2.0e5) == math.inf
+        assert law.density_from_pressure(np.asarray(2.0e5)) == math.inf
