@@ -144,7 +144,7 @@ def _cmd_simulate(args) -> int:
     state, snapshots = run_truth(graph, scenario, snapshot_times=snap_times)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    law = scenario.make_law()
+    law = scenario.law
     with (out / "state.csv").open("w", newline="\n") as fh:
         fh.write("pipe,x,r_plus,r_minus,pressure_bar,velocity\n")
         for pid, g in state.grids.items():
@@ -172,8 +172,7 @@ def _cmd_snapshot(args) -> int:
 
 def _cmd_certify(args) -> int:
     graph, scenario = _load_inputs(args)
-    law = scenario.make_law()
-    c = law.sound_speed()
+    c = scenario.law.sound_speed()
     eff_graph = graph.with_theta(scenario.theta)
     mu = scenario.resolve_mu(eff_graph)
     if (args.m_tilde is None) != (args.b_tilde is None):

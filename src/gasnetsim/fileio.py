@@ -214,13 +214,7 @@ class BoundaryPoint:
 class ScenarioSpec:
     """Everything needed to run one experiment on a given network."""
 
-    law_kind: str = "isothermal"
-    c: float = 340.0
-    rho_ref: float = 1.0
-    law_a: float = 1.0
-    law_gamma: float = 1.4
-    law_rs_t: float = 115600.0
-    law_alpha: float = 0.0
+    law: PressureLaw = IsothermalLaw()
     theta: float = 0.0137
     rest_pressure_bar: float = 60.0
     t_end: float = 600.0
@@ -246,15 +240,6 @@ class ScenarioSpec:
             [self.boundary_default] if self.boundary_default else []
         ):
             _check_schedule(points)
-
-    def make_law(self) -> PressureLaw:
-        if self.law_kind == "isothermal":
-            return IsothermalLaw(c=self.c, rho_ref=self.rho_ref)
-        if self.law_kind == "isentropic":
-            return IsentropicLaw(a=self.law_a, gamma=self.law_gamma, rho_ref=self.rho_ref)
-        if self.law_kind == "aga":
-            return AgaLaw(rs_t=self.law_rs_t, alpha=self.law_alpha, rho_ref=self.rho_ref)
-        raise ValidationError(f"unknown pressure law {self.law_kind!r}")
 
     def resolve_mu(self, graph: NetworkGraph) -> Dict[NodeId, float]:
         """Per-node gains: preset first, explicit overrides on top."""
@@ -308,6 +293,8 @@ def _check_schedule(points: Sequence[BoundaryPoint]) -> None:
 
 def parse_scenario(text: str) -> ScenarioSpec:
     spec = ScenarioSpec()
+    law_cls, law_args = IsothermalLaw, {}
+    law_refs: Dict[str, float] = {}
     boundary: Dict[NodeId, List[BoundaryPoint]] = {}
     boundary_default: List[BoundaryPoint] = []
     mu_overrides: Dict[NodeId, float] = {}
@@ -322,12 +309,19 @@ def parse_scenario(text: str) -> ScenarioSpec:
         # extra field raises ValueError and is reported as malformed.
         try:
             if key == "law":
-                spec = _parse_law_line(spec, fields)
-            elif key in _POSITIVE_KEYS:
+                kind, *values = fields
+                if kind not in _LAWS:
+                    raise ValidationError(f"unknown pressure law {kind!r}")
+                law_cls, names = _LAWS[kind]
+                law_args = dict(zip(names, map(float, values), strict=True))
+            elif key in _LAW_REFS or key in _POSITIVE_KEYS:
                 (text,) = fields
                 if not 0 < (value := float(text)) < math.inf:
                     raise ValidationError(f"value must be finite and positive, got {value}")
-                spec = replace(spec, **{_POSITIVE_KEYS[key]: value})
+                if key in _LAW_REFS:
+                    law_refs[key] = value
+                else:
+                    spec = replace(spec, **{_POSITIVE_KEYS[key]: value})
             elif key == "theta":
                 (value,) = fields
                 spec = replace(spec, theta=float(value))
@@ -378,9 +372,12 @@ def parse_scenario(text: str) -> ScenarioSpec:
             if isinstance(exc, ValidationError):
                 raise ParseError(f"line {lineno}: {exc}") from None
             raise ParseError(f"line {lineno}: malformed {key!r} record ({exc})") from None
+    if law_cls is not IsothermalLaw:
+        law_refs.pop("c", None)
     try:
         spec = replace(
             spec,
+            law=law_cls(**law_args, **law_refs),
             mu_overrides=mu_overrides,
             ic_s=ic_s,
             ic_r=ic_r,
@@ -396,24 +393,14 @@ def parse_scenario_file(path) -> ScenarioSpec:
     return parse_scenario(Path(path).read_text())
 
 
-# Records `key value` whose value must be finite and positive, by field name.
-_POSITIVE_KEYS = {"c": "c", "rho_ref": "rho_ref", "rest_pressure": "rest_pressure_bar",
-                  "t_end": "t_end", "dt": "dt"}
-
-
-def _parse_law_line(spec: ScenarioSpec, fields: Sequence[str]) -> ScenarioSpec:
-    kind, *values = fields
-    if kind == "isothermal":
-        () = values
-        return replace(spec, law_kind="isothermal")
-    if kind == "isentropic":
-        a, gamma = values
-        return replace(spec, law_kind="isentropic", law_a=float(a), law_gamma=float(gamma))
-    if kind == "aga":
-        rs_t, alpha = values
-        return replace(spec, law_kind="aga", law_rs_t=float(rs_t), law_alpha=float(alpha))
-    raise ValidationError(f"unknown pressure law {kind!r}")
-
+# The law of each `law <kind> ...` record and the names of its fields.
+_LAWS = {"isothermal": (IsothermalLaw, ()), "isentropic": (IsentropicLaw, ("a", "gamma")),
+         "aga": (AgaLaw, ("rs_t", "alpha"))}
+# Records `key value` whose value must be finite and positive: the law's
+# reference values (`c` is read by the isothermal law only), which may come
+# before or after the `law` record, and the scenario's, by field name.
+_LAW_REFS = ("c", "rho_ref")
+_POSITIVE_KEYS = {"rest_pressure": "rest_pressure_bar", "t_end": "t_end", "dt": "dt"}
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,10 @@ import numpy as np
 from .diagnostics import (LyapunovSeries, RegularityTracker, SnapshotFrame, nodal_energy_residual,
                           quadrature, quadrature_weights, snapshot_file_name)
 from .errors import NumericalError, ValidationError
-from .fileio import ScenarioSpec, make_boundary_control
+from .fileio import BAR, ScenarioSpec, make_boundary_control
 from .network import NetworkGraph, NodeId
 from .observer import (CoupledState, ObserverConfig, SimState, difference_state, step_coupled,
                        step_system)
-from .physics import PressureLaw
 from .solver import build_grids, pack
 
 
@@ -25,7 +24,6 @@ class Assembled:
     """A scenario resolved against a concrete network."""
 
     graph: NetworkGraph  # with the scenario friction coefficient applied
-    law: PressureLaw
     dt: float
     n_steps: int
     mu: Dict[NodeId, float]
@@ -41,10 +39,9 @@ def default_dt(graph: NetworkGraph, c: float) -> float:
 
 def assemble(graph: NetworkGraph, scenario: ScenarioSpec) -> Assembled:
     """Resolve gains, controls, grids and initial states for one scenario."""
-    law = scenario.make_law()
-    c = law.sound_speed()
+    law = scenario.law
     eff_graph = graph.with_theta(scenario.theta)
-    dt = scenario.dt if scenario.dt is not None else default_dt(eff_graph, c)
+    dt = scenario.dt if scenario.dt is not None else default_dt(eff_graph, law.sound_speed())
     horizon = f"t_end = {scenario.t_end!r} s at dt = {dt!r} s is"
     try:
         n_steps = int(math.ceil(scenario.t_end / dt - 1e-12))
@@ -61,16 +58,13 @@ def assemble(graph: NetworkGraph, scenario: ScenarioSpec) -> Assembled:
         for v in eff_graph.boundary_nodes
     }
     config = ObserverConfig(mu=mu, controls=controls)
-    s_state = _initial_state(eff_graph, scenario, law, dt, "S")
-    r_state = _initial_state(eff_graph, scenario, law, dt, "R")
-    return Assembled(eff_graph, law, dt, n_steps, mu, config, s_state, r_state)
+    s_state = _initial_state(eff_graph, scenario, dt, "S")
+    r_state = _initial_state(eff_graph, scenario, dt, "R")
+    return Assembled(eff_graph, dt, n_steps, mu, config, s_state, r_state)
 
 
-def _initial_state(
-    graph: NetworkGraph, scenario: ScenarioSpec, law: PressureLaw, dt: float, which: str
-) -> SimState:
-    from .fileio import BAR
-
+def _initial_state(graph: NetworkGraph, scenario: ScenarioSpec, dt: float, which: str) -> SimState:
+    law = scenario.law
     grids = build_grids(graph, law.sound_speed(), dt, mode=scenario.mode)
     known = set(g.pipe for g in grids.values())
     table = scenario.ic_s if which == "S" else scenario.ic_r

@@ -67,9 +67,9 @@ class SimState:
         return self.step_index * self.dt
 
 
-def build_grids(graph: NetworkGraph, c: float, dt: float, mode: str = MODE_EXACT,
-                fill: float = 0.0) -> Dict[PipeId, EdgeGrid]:
-    """Discretize every pipe for time step dt at sound speed c.
+def build_grids(graph: NetworkGraph, c: float, dt: float,
+                mode: str = MODE_EXACT) -> Dict[PipeId, EdgeGrid]:
+    """Discretize every pipe for time step dt at sound speed c, with zero fields.
 
     cfl-safe mode keeps the exact pipe length: n = floor(L/(c dt)),
     dx = L/n, cfl = c dt / dx <= 1.
@@ -101,8 +101,8 @@ def build_grids(graph: NetworkGraph, c: float, dt: float, mode: str = MODE_EXACT
             dx = c * dt
             cfl = 1.0
             pert = abs(n * dx - p.length) / p.length
-        grids[p.id] = EdgeGrid(p.id, n, dx, cfl, np.full(n, fill, dtype=float),
-                               np.full(n, fill, dtype=float), length_perturbation=pert)
+        grids[p.id] = EdgeGrid(p.id, n, dx, cfl, np.zeros(n), np.zeros(n),
+                               length_perturbation=pert)
     return grids
 
 

@@ -161,7 +161,10 @@ def test_sync_time_detection():
 
 
 def test_regularity_bounds_rest_state(five_pipe):
-    plus, minus = pack(build_grids(five_pipe, 340.0, 0.5, fill=1342.0), five_pipe)
+    grids = build_grids(five_pipe, 340.0, 0.5)
+    for g in grids.values():
+        g.r_plus[:] = g.r_minus[:] = 1342.0
+    plus, minus = pack(grids, five_pipe)
     tracker = RegularityTracker(0.5)
     tracker.observe(plus - minus, plus - minus)
     tracker.observe(plus - minus, plus - minus)

@@ -139,8 +139,7 @@ def test_bundled_network_matches_benchmark_ranges():
 def test_scenario_defaults():
     spec = parse_scenario("")
     assert spec.theta == 0.0137
-    assert spec.c == 340.0
-    assert spec.law_kind == "isothermal"
+    assert spec.law == IsothermalLaw(c=340.0)
     assert spec.rest_pressure_bar == 60.0
     assert spec.ic_for("S", "anything").kind == "constant"
     assert spec.ic_for("R", "anything").p_base == 60.0
@@ -622,7 +621,7 @@ def _simulate_with_state(tmp_path, monkeypatch, law_line, fields):
 def test_state_csv_equals_per_cell_reference(tmp_path, monkeypatch, law_name):
     from gasnetsim.physics import pressure_from_riemann
 
-    law = parse_scenario(STATE_LAWS[law_name]).make_law()
+    law = parse_scenario(STATE_LAWS[law_name]).law
     rng = np.random.default_rng(17)
     fields = {}
     for pid, n in (("p", 400), ("q", 300)):

@@ -258,7 +258,9 @@ def test_step_rest_state_is_fixed_point(five_pipe):
     law = IsothermalLaw(c=340.0)
     rho = float(law.density_from_pressure(60.0e5))
     rest, _ = riemann_from_state(law, rho, 0.0)
-    grids = build_grids(net, 340.0, 0.5, fill=rest)
+    grids = build_grids(net, 340.0, 0.5)
+    for g in grids.values():
+        g.r_plus[:] = g.r_minus[:] = rest
     state = SimState(grids=grids, dt=0.5)
     controls = {v: (lambda t: rest) for v in net.boundary_nodes}
     gains = {v: 0.0 for v in net.boundary_nodes}
