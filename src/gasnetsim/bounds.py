@@ -16,6 +16,14 @@ from .errors import ValidationError
 from .network import NetworkGraph, NodeId, check_gain
 
 
+def _exp(x: float) -> float:
+    """math.exp, with inf where the result leaves the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def check_amplitude_bound(m: float) -> None:
     """Reject an amplitude bound M that is not finite and positive."""
     if not (math.isfinite(m) and m > 0):
@@ -100,7 +108,7 @@ def wellposedness_constants(
     t_threshold = math.inf if nu_max * m == 0.0 else 1.0 / (16.0 * nu_max * m)
     valid = l_kontr < 1.0
     epsilon = (m / 3.0) * (1.0 - l_kontr) if valid else None
-    gronwall = math.exp(16.0 * nu_max * m * t_horizon)
+    gronwall = _exp(16.0 * nu_max * m * t_horizon)
     return WellposednessConstants(l_kontr, t_threshold, epsilon, valid, gronwall)
 
 
@@ -113,7 +121,7 @@ def c0_constant(m_tilde: float, length: float, nu: float, c: float) -> float:
     if m_tilde < 0 or length < 0 or nu < 0 or c <= 0:
         raise ValidationError("c0_constant needs nonnegative inputs and c > 0")
     z = 4.0 * length * nu * m_tilde
-    return 2.0 * (2.0 * c + z * math.exp(z / c))
+    return 2.0 * (2.0 * c + z * _exp(z / c))
 
 
 def c0_network(m_tilde: float, graph: NetworkGraph, c: float) -> float:
@@ -132,7 +140,11 @@ def upsilon_factor(m_tilde: float, b_tilde: float) -> float:
     s = m_tilde + b_tilde
     if s == 0.0:
         return 0.0
-    return max(m_tilde * m_tilde, b_tilde * b_tilde) / s
+    square = max(m_tilde * m_tilde, b_tilde * b_tilde)
+    if square == math.inf:  # the same ratio, as max / (1 + min / max), never overflows
+        big = max(m_tilde, b_tilde)
+        return big / (1.0 + min(m_tilde, b_tilde) / big)
+    return square / s
 
 
 def c1_constant(m_tilde: float, b_tilde: float, graph: NetworkGraph, c: float) -> float:
@@ -143,9 +155,11 @@ def c1_constant(m_tilde: float, b_tilde: float, graph: NetworkGraph, c: float) -
     """
     ups = upsilon_factor(m_tilde, b_tilde)
     c0 = c0_network(m_tilde, graph, c)
+    # A frictionless pipe adds 0, and skipping it keeps 0 * exp(0 * inf) = nan out.
     third = max(
-        16.0 * p.nu * p.length * ups * math.exp(4.0 * p.nu * (m_tilde + b_tilde) * p.length / c)
-        for p in graph.pipes
+        (16.0 * p.nu * p.length * ups * _exp(4.0 * p.nu * (m_tilde + b_tilde) * p.length / c)
+         for p in graph.pipes if p.nu > 0.0),
+        default=0.0,
     )
     return c0 + 2.0 * c + third
 
@@ -204,7 +218,7 @@ def decay_certificates(
     ups0 = upsilon0(graph, mu)
     c0 = c0_network(m_tilde, graph, c)
     c1 = c1_constant(m_tilde, b_tilde, graph, c)
-    delta = math.exp(8.0 * nu_max * b_tilde * t0)
+    delta = _exp(8.0 * nu_max * b_tilde * t0)
     factor = 1.0 / (1.0 + (c / c0) * ups0)
     lhs = 8.0 * t0 * delta * delta * nu_max
     rhs = (c / c1) * ups0

@@ -78,7 +78,10 @@ class PressureLaw:
     def _validate_monotone(self) -> None:
         # Sampled strict monotonicity over a wide admissible range.
         rhos = self.rho_ref * np.logspace(-3, 3, 61)
-        ps = np.asarray(self.pressure(rhos), dtype=float)
+        try:
+            ps = np.asarray(self.pressure(rhos), dtype=float)
+        except OverflowError:  # a parameter whose Python float power leaves the range
+            ps = np.array([math.inf])
         if not np.all(np.isfinite(ps)) or np.any(np.diff(ps) <= 0.0):
             raise ValidationError("pressure law is not strictly increasing on the sampled range")
 

@@ -53,6 +53,10 @@ def assemble(graph: NetworkGraph, scenario: ScenarioSpec) -> Assembled:
         raise ValidationError(f"{horizon} {n_steps:.6g} steps, too many to record a value "
                               "per step") from None
     mu = scenario.resolve_mu(eff_graph)
+    stray = set(scenario.boundary) - set(eff_graph.boundary_nodes)
+    if stray:
+        raise ValidationError(f"boundary schedule for node(s) that are not degree-1 nodes: "
+                              f"{sorted(stray)}")
     controls = {
         v: make_boundary_control(scenario.schedule_for(v), eff_graph.incident_pipes(v)[0], law)
         for v in eff_graph.boundary_nodes

@@ -91,6 +91,11 @@ def build_grids(graph: NetworkGraph, c: float, dt: float,
     grids: Dict[PipeId, EdgeGrid] = {}
     for p in graph.pipes:
         ratio = p.length / (c * dt)
+        try:  # room for the pipe's fields; a vanishing c * dt asks for more than exists
+            np.empty(int(ratio) + 1)
+        except (OverflowError, ValueError, MemoryError):
+            raise ConfigurationError(f"pipe {p.id!r} needs {ratio:.6g} cells at dt = {dt!r} s, "
+                                     "too many to allocate") from None
         if mode == MODE_CFL_SAFE:
             n = int(math.floor(ratio))
             dx = p.length / n

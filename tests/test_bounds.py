@@ -91,6 +91,31 @@ def test_upsilon_factor():
         upsilon_factor(-1.0, 0.0)
 
 
+def test_upsilon_factor_beyond_the_float_range_of_its_squares():
+    # max^2 / (m + b) = max / (1 + min / max), without an inf / inf
+    assert upsilon_factor(1e308, 1e308) == 5e307
+    assert upsilon_factor(1e200, 0.0) == 1e200
+    assert upsilon_factor(3e200, 1e200) == 3e200 / (1.0 + 1e200 / 3e200)
+
+
+def test_exponentials_beyond_the_float_range_give_inf():
+    # one 50 km pipe with the benchmark friction: exponents in the thousands
+    net, nu, c = one_pipe(length=5.0e4, theta=0.0137), 0.0137 / 4.0, 340.0
+    assert wellposedness_constants(600.0, 1.0e3, nu).gronwall_factor == math.inf
+    assert c0_constant(1.0e3, 5.0e4, nu, c) == math.inf
+    assert c1_constant(10.0, 1.0e3, net, c) == math.inf  # finite C0, overflowing third term
+    cert = decay_certificates(net, {"a": 0.0, "b": 0.0}, 10.0, 1.0e3, c)
+    assert cert.delta_nu_t0 == cert.h1_condition_lhs == cert.c1 == math.inf
+    assert cert.h1_condition_rhs == 0.0 and not cert.h1_holds
+    cert = decay_certificates(net, {"a": 0.0, "b": 0.0}, 1.0e3, 0.0, c)
+    assert cert.c0 == math.inf and cert.l0_window_factor == 1.0
+
+
+def test_c1_frictionless_pipe_adds_nothing_for_any_bounds():
+    # 0 * exp(0 * inf) would be nan once m_tilde + b_tilde overflows
+    assert c1_constant(1e308, 1e308, one_pipe(theta=0.0), 340.0) == 6.0 * 340.0
+
+
 def test_c1_degenerate_is_6c():
     net = one_pipe()
     assert c1_constant(0.0, 0.0, net, 340.0) == 6.0 * 340.0

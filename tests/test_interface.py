@@ -145,6 +145,17 @@ def test_scenario_defaults():
     assert spec.ic_for("R", "anything").p_base == 60.0
 
 
+@pytest.mark.parametrize("law", ["law isothermal", "law isentropic 40000 1.4",
+                                 "law aga 115600 -0.005"])
+def test_law_reference_records_may_come_before_or_after_the_law(law):
+    before = parse_scenario(f"c 300\nrho_ref 2\n{law}\n").law
+    assert parse_scenario(f"{law}\nc 300\nrho_ref 2\n").law == before
+    assert parse_scenario(f"c 300\n{law}\nrho_ref 2\n").law == before
+    assert before.rho_ref == 2.0
+    if law == "law isothermal":
+        assert before == IsothermalLaw(c=300.0, rho_ref=2.0)
+
+
 def test_scenario_step_friction_offsets():
     spec = parse_scenario_file(bundled_path("step_friction.scn"))
     assert [spec.ic_s[p].h for p in ("12-16", "27-28", "22-27")] == [2.0, 2.0, 1.0]
@@ -524,6 +535,52 @@ def test_cli_non_finite_input_exits_2_and_writes_nothing(tmp_path, capsys, which
                     "--scenario", str(paths["step_friction.scn"]), "--out", str(out),
                     *command[1:]])
     _assert_rejected(code, capsys, out)
+
+
+@pytest.mark.parametrize("bounds, inf_lines", [
+    (["--amplitude-bound", "22", "--m-tilde", "0.1", "--b-tilde", "0.1"], ["gronwall_factor"]),
+    (["--m-tilde", "250", "--b-tilde", "1"], ["c0", "c1"]),
+    (["--m-tilde", "10", "--b-tilde", "120"], ["delta_nu_t0", "h1_condition_lhs"]),
+    (["--m-tilde", "1e308", "--b-tilde", "1e308"], ["c0", "c1", "delta_nu_t0"]),
+], ids=["gronwall", "c0", "delta", "upsilon"])
+def test_certify_constants_beyond_the_float_range_are_inf(tmp_path, bounds, inf_lines):
+    out = tmp_path / "out"
+    code = run_cli(["certify", "--network", str(bundled_path("gaslib40_like.net")),
+                    "--scenario", str(bundled_path("step_friction.scn")), "--out", str(out),
+                    *bounds])
+    assert code == 0
+    lines = (out / "certificate.txt").read_text().splitlines()
+    assert not [line for line in lines if "nan" in line]
+    for name in inf_lines:
+        assert f"{name} = inf" in lines
+
+
+@pytest.mark.parametrize("record, message", [
+    ("c 1e300", "pressure law is not strictly increasing on the sampled range"),
+    ("c 1e-300", "pressure law is not strictly increasing on the sampled range"),
+    ("law isentropic 1 0.9", "isentropic law needs a > 0 and gamma > 1"),
+    ("law aga 115600 0.5", "AGA law needs alpha <= 0"),
+    ("law adiabatic", "line 1: unknown pressure law 'adiabatic'"),
+])
+def test_cli_bad_pressure_law_exits_2_and_writes_nothing(tmp_path, capsys, record, message):
+    net, scn = _write_small_inputs(tmp_path)
+    scn.write_text(f"{record}\n{scn.read_text()}")
+    out = tmp_path / "out"
+    code = run_cli(["observe", "--network", str(net), "--scenario", str(scn), "--out", str(out)])
+    assert _assert_rejected(code, capsys, out) == f"error: {message}"
+
+
+@pytest.mark.parametrize("command", ["observe", "simulate"])
+def test_boundary_schedule_for_a_node_that_is_not_degree_1_is_rejected(tmp_path, capsys,
+                                                                      command):
+    # node 5 is interior and there is no node 99: neither schedule has a pipe end to drive
+    scn = tmp_path / "run.scn"
+    scn.write_text(bundled_path("step_friction.scn").read_text().replace("t_end 600", "t_end 30")
+                   + "boundary 5 0 10 500\nboundary 99 0 10 500\n")
+    out = tmp_path / "out"
+    code = run_cli([command, "--network", str(bundled_path("gaslib40_like.net")),
+                    "--scenario", str(scn), "--out", str(out)])
+    assert "['5', '99']" in _assert_rejected(code, capsys, out)
 
 
 def test_certify_checks_amplitude_bound_before_the_run(tmp_path, capsys, monkeypatch):

@@ -88,6 +88,14 @@ def test_build_grids_rejects_large_dt():
         build_grids(g, 340.0, -1.0)
 
 
+@pytest.mark.parametrize("c, dt", [(340.0, 1e-308), (1e-300, 1.0)],
+                         ids=["inf-cells", "1e303-cells"])
+def test_build_grids_rejects_more_cells_than_can_be_allocated(c, dt):
+    g = NetworkGraph([PipeSpec("p", "a", "b", 1000.0, 0.5)])
+    with pytest.raises(ConfigurationError, match="^pipe 'p' needs .* too many to allocate$"):
+        build_grids(g, c, dt)
+
+
 def test_grid_invariants():
     with pytest.raises(ValidationError):
         EdgeGrid("p", 1, 1.0, 1.0, np.zeros(1), np.zeros(1))
