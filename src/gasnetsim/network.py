@@ -40,7 +40,7 @@ class PipeSpec:
         if not 0 <= self.theta < math.inf:
             raise ValidationError(f"pipe {self.id!r}: theta must be finite and nonnegative")
 
-    @property
+    @functools.cached_property  # read twice per pipe and step; not a field, so not compared
     def nu(self) -> float:
         """Friction coefficient of the invariant-space source term, theta/4."""
         return self.theta / 4.0
