@@ -18,7 +18,9 @@ import numpy as np
 from .bounds import BoundInputs, check_amplitude_bound, decay_certificates, wellposedness_constants
 from .diagnostics import SnapshotFrame, fit_decay_rate, snapshot_file_name
 from .errors import NumericalError, ValidationError
-from .fileio import BAR, parse_network_file, parse_scenario_file
+from . import run
+from .fileio import BAR, ScenarioSpec, parse_network_file, parse_scenario_file
+from .network import NetworkGraph
 from .run import RunResult, run_observer_pair, run_truth
 
 EXIT_OK = 0
@@ -47,18 +49,6 @@ def _parse_times(text: str, option: str) -> List[float]:
     if not all(math.isfinite(t) for t in times):
         raise error
     return times
-
-
-def _load_inputs(args):
-    net_path = Path(args.network)
-    if not net_path.exists():
-        raise ValidationError(f"network file not found: {net_path}")
-    scn_path = Path(args.scenario)
-    if not scn_path.exists():
-        raise ValidationError(f"scenario file not found: {scn_path}")
-    graph = parse_network_file(net_path)
-    scenario = parse_scenario_file(scn_path)
-    return graph, scenario
 
 
 def _write_series_csv(path: Path, header: str, rows) -> None:
@@ -120,8 +110,7 @@ def write_observe_outputs(out: Path, result: RunResult, window: Tuple[float, flo
     (out / "rates.txt").write_text("\n".join(lines) + "\n")
 
 
-def _cmd_observe(args) -> int:
-    graph, scenario = _load_inputs(args)
+def _cmd_observe(args, graph: NetworkGraph, scenario: ScenarioSpec) -> int:
     t_end = scenario.t_end
     window = parse_fit_window(args.fit_window, t_end)
     if args.residual_stride < 0:
@@ -138,8 +127,7 @@ def _cmd_observe(args) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
-    graph, scenario = _load_inputs(args)
+def _cmd_simulate(args, graph: NetworkGraph, scenario: ScenarioSpec) -> int:
     snap_times = _parse_times(args.snapshots, "--snapshots")
     state, snapshots = run_truth(graph, scenario, snapshot_times=snap_times)
     out = Path(args.out)
@@ -156,8 +144,7 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_snapshot(args) -> int:
-    graph, scenario = _load_inputs(args)
+def _cmd_snapshot(args, graph: NetworkGraph, scenario: ScenarioSpec) -> int:
     snap_times = _parse_times(args.times, "--times")
     if not snap_times:
         raise ValidationError("snapshot needs --times t1[,t2,...]")
@@ -170,21 +157,20 @@ def _cmd_snapshot(args) -> int:
     return EXIT_OK
 
 
-def _cmd_certify(args) -> int:
-    graph, scenario = _load_inputs(args)
-    c = scenario.law.sound_speed()
-    eff_graph = graph.with_theta(scenario.theta)
-    mu = scenario.resolve_mu(eff_graph)
+def _cmd_certify(args, graph: NetworkGraph, scenario: ScenarioSpec) -> int:
     if (args.m_tilde is None) != (args.b_tilde is None):
         raise ValidationError("--m-tilde and --b-tilde must be given together")
     check_amplitude_bound(args.amplitude_bound)
     if args.m_tilde is not None:
         m_tilde, b_tilde = args.m_tilde, args.b_tilde
+        eff_graph = run.assemble(graph, scenario).graph
         source = "supplied"
     else:
         result = run_observer_pair(graph, scenario, record_l1=False, residual_stride=0)
-        m_tilde, b_tilde = result.m_tilde, result.b_tilde
+        m_tilde, b_tilde, eff_graph = result.m_tilde, result.b_tilde, result.graph
         source = "estimated from a scenario run"
+    c = scenario.law.sound_speed()
+    mu = scenario.resolve_mu(eff_graph)
     inputs = BoundInputs.from_graph(
         eff_graph, c, t_horizon=scenario.t_end, m=args.amplitude_bound,
         m_tilde=m_tilde, b_tilde=b_tilde,
@@ -274,13 +260,15 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        out = Path(args.out)  # a file at or above it is found now, not after the run
+        if any(path.exists() and not path.is_dir() for path in (out, *out.parents)):
+            raise ValidationError(f"--out {out} is a file or lies below one")
         # The finiteness checks report a blow-up; numpy need not warn on the way.
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+            graph = parse_network_file(args.network)
+            scenario = parse_scenario_file(args.scenario)
+            return args.func(args, graph, scenario)
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericalError as exc:

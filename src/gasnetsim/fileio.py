@@ -53,8 +53,16 @@ def parse_network(text: str) -> NetworkGraph:
     return _parse_native(text)
 
 
+def _read_text(path) -> str:
+    """The file's UTF-8 text; failing to read or decode it is an input error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from None
+
+
 def parse_network_file(path) -> NetworkGraph:
-    return parse_network(Path(path).read_text())
+    return parse_network(_read_text(path))
 
 
 def _parse_native(text: str) -> NetworkGraph:
@@ -390,7 +398,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
 
 
 def parse_scenario_file(path) -> ScenarioSpec:
-    return parse_scenario(Path(path).read_text())
+    return parse_scenario(_read_text(path))
 
 
 # The law of each `law <kind> ...` record and the names of its fields.

@@ -583,6 +583,47 @@ def test_boundary_schedule_for_a_node_that_is_not_degree_1_is_rejected(tmp_path,
     assert "['5', '99']" in _assert_rejected(code, capsys, out)
 
 
+def _unreadable_inputs(tmp_path: Path, case: str):
+    """(argv, out, the file at or above --out or None) for one input that
+    every command must refuse."""
+    net, scn = _write_small_inputs(tmp_path)
+    out, blocker = tmp_path / "out", None
+    command = ["simulate"]
+    if case == "network-is-a-directory":
+        net = tmp_path
+    elif case == "scenario-not-utf8":
+        scn.write_bytes(scn.read_bytes() + b"\xff\n")
+    elif case == "out-is-a-file":
+        out = blocker = tmp_path / "out.txt"
+        out.write_text("keep me\n")
+    elif case == "out-below-a-file":
+        blocker, out = net, net / "x"
+    else:  # a schedule for an interior and an unknown node, under supplied bounds
+        net = bundled_path("gaslib40_like.net")
+        scn.write_text(bundled_path("step_friction.scn").read_text().replace("t_end 600",
+                                                                              "t_end 30")
+                       + "boundary 5 0 10 500\nboundary 99 0 10 500\n")
+        command = ["certify", "--m-tilde", "0.5", "--b-tilde", "0.1"]
+    return ([command[0], "--network", str(net), "--scenario", str(scn), "--out", str(out),
+             *command[1:]], out, blocker)
+
+
+@pytest.mark.parametrize("case", ["network-is-a-directory", "scenario-not-utf8",
+                                  "out-is-a-file", "out-below-a-file",
+                                  "certify-supplied-bounds-bad-schedule"])
+def test_cli_unreadable_input_exits_2_with_one_error_line(tmp_path, capsys, case):
+    argv, out, blocker = _unreadable_inputs(tmp_path, case)
+    before = blocker.read_bytes() if blocker else None
+    code = run_cli(argv)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    if blocker is None:
+        assert not out.exists()
+    else:
+        assert blocker.read_bytes() == before and not out.is_dir()
+
+
 def test_certify_checks_amplitude_bound_before_the_run(tmp_path, capsys, monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("run_observer_pair called before --amplitude-bound was checked")
