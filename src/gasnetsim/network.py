@@ -35,8 +35,9 @@ class PipeSpec:
             raise ValidationError(f"pipe {self.id!r}: from_node equals to_node")
         if not 0 < self.length < math.inf:
             raise ValidationError(f"pipe {self.id!r}: length must be finite and positive")
-        if not 0 < self.diameter < math.inf:
-            raise ValidationError(f"pipe {self.id!r}: diameter must be finite and positive")
+        if not (self.diameter > 0 and 0 < self.diameter * self.diameter < math.inf):
+            raise ValidationError(f"pipe {self.id!r}: diameter must be positive, with a square "
+                                  "that is finite and nonzero")
         if not 0 <= self.theta < math.inf:
             raise ValidationError(f"pipe {self.id!r}: theta must be finite and nonnegative")
 

@@ -1,6 +1,6 @@
-"""Scenario records built from the README grammar, and certify bound
-options, with typical and extreme numbers: every command must end in exit
-0, 2 or 3 and raise nothing."""
+"""Network and scenario records built from the README grammar, and certify
+bound options, with typical and extreme numbers: every command must end in
+exit 0, 2 or 3 and raise nothing."""
 
 import tempfile
 from pathlib import Path
@@ -55,6 +55,38 @@ BOUNDS = st.lists(st.sampled_from(["--m-tilde", "--b-tilde", "--amplitude-bound"
                              for o in opts)))
 
 
+def pipe_record(pid, ends, length, diameter):
+    """The typical `pipe` record half of the time, else one whose length,
+    diameter and, when present, theta are each typical or extreme."""
+    theta = st.one_of(st.just([]), number("0", "0.0137").map(lambda t: [t]))
+    fuzzed = st.tuples(number(length), number(diameter), theta).map(
+        lambda vals: " ".join(["pipe", pid, ends, vals[0], vals[1], *vals[2]]))
+    return st.one_of(st.just(f"pipe {pid} {ends} {length} {diameter}"), fuzzed)
+
+
+# The star of NETWORK, one pipe record at a time typical or fuzzed.
+NETWORKS = st.tuples(
+    pipe_record("a", "0 1", "680", "0.5"), pipe_record("b", "1 2", "1020", "0.6"),
+    pipe_record("c", "3 1", "80000", "0.4"),
+).map(lambda lines: "\n".join(lines) + "\n")
+
+
+def exit_code(command, network, records, bounds=()):
+    """The exit code of `command` on `network` and `t_end 3` plus `records`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        net, scn = Path(tmp, "net.net"), Path(tmp, "run.scn")
+        net.write_text(network)
+        scn.write_text("\n".join(["t_end 3", *records]) + "\n")  # a few steps unless overridden
+        argv = [command, "--network", str(net), "--scenario", str(scn),
+                "--out", str(Path(tmp, "out"))]
+        if command == "certify":
+            argv += bounds
+        try:
+            return run_cli(argv)
+        except SystemExit as exc:  # argparse's usage error
+            return exc.code
+
+
 @settings(max_examples=200)
 # Inputs that once ended in a traceback: exponentials past the float range in
 # the certificate, c ** 2 past it, and more cells than can be allocated.
@@ -68,16 +100,15 @@ BOUNDS = st.lists(st.sampled_from(["--m-tilde", "--b-tilde", "--amplitude-bound"
 @given(command=st.sampled_from(["observe", "simulate", "certify"]),
        records=st.lists(RECORDS, max_size=6), bounds=BOUNDS)
 def test_fuzzed_scenario_and_bounds_exit_0_2_or_3(command, records, bounds):
-    with tempfile.TemporaryDirectory() as tmp:
-        net, scn = Path(tmp, "net.net"), Path(tmp, "run.scn")
-        net.write_text(NETWORK)
-        scn.write_text("\n".join(["t_end 3", *records]) + "\n")  # a few steps unless overridden
-        argv = [command, "--network", str(net), "--scenario", str(scn),
-                "--out", str(Path(tmp, "out"))]
-        if command == "certify":
-            argv += bounds
-        try:
-            code = run_cli(argv)
-        except SystemExit as exc:  # argparse's usage error
-            code = exc.code
-        assert code in (0, 2, 3)
+    assert exit_code(command, NETWORK, records, bounds) in (0, 2, 3)
+
+
+@settings(max_examples=100)
+# Diameters whose square leaves the float range: D^2 underflowed to 0 and the
+# boundary control divided by it, or overflowed in the cross section.
+@example("simulate", "pipe a n0 n1 340 1e-200\n", [])
+@example("observe", "pipe a n0 n1 340 1e200\n", [])
+@given(command=st.sampled_from(["observe", "simulate", "certify"]), network=NETWORKS,
+       records=st.lists(RECORDS, max_size=2))
+def test_fuzzed_network_exit_0_2_or_3(command, network, records):
+    assert exit_code(command, network, records) in (0, 2, 3)
