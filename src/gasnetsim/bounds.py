@@ -24,6 +24,12 @@ def _exp(x: float) -> float:
         return math.inf
 
 
+def _prod(*factors: float) -> float:
+    """The product of `factors` in order, 0 when one of them is 0: the limit,
+    where the others overflowing to inf would give 0 * inf = nan."""
+    return 0.0 if 0.0 in factors else math.prod(factors)
+
+
 def check_amplitude_bound(m: float) -> None:
     """Reject an amplitude bound M that is not finite and positive."""
     if not (math.isfinite(m) and m > 0):
@@ -104,7 +110,7 @@ def wellposedness_constants(
     """
     if t_horizon <= 0 or m <= 0 or nu_max < 0:
         raise ValidationError("need t_horizon > 0, m > 0, nu_max >= 0")
-    l_kontr = 16.0 * t_horizon * nu_max * m
+    l_kontr = _prod(16.0, t_horizon, nu_max, m)
     t_threshold = math.inf if nu_max * m == 0.0 else 1.0 / (16.0 * nu_max * m)
     valid = l_kontr < 1.0
     epsilon = (m / 3.0) * (1.0 - l_kontr) if valid else None
@@ -120,7 +126,7 @@ def c0_constant(m_tilde: float, length: float, nu: float, c: float) -> float:
     """
     if m_tilde < 0 or length < 0 or nu < 0 or c <= 0:
         raise ValidationError("c0_constant needs nonnegative inputs and c > 0")
-    z = 4.0 * length * nu * m_tilde
+    z = _prod(4.0, length, nu, m_tilde)
     return 2.0 * (2.0 * c + z * _exp(z / c))
 
 
@@ -155,11 +161,9 @@ def c1_constant(m_tilde: float, b_tilde: float, graph: NetworkGraph, c: float) -
     """
     ups = upsilon_factor(m_tilde, b_tilde)
     c0 = c0_network(m_tilde, graph, c)
-    # A frictionless pipe adds 0, and skipping it keeps 0 * exp(0 * inf) = nan out.
     third = max(
-        (16.0 * p.nu * p.length * ups * _exp(4.0 * p.nu * (m_tilde + b_tilde) * p.length / c)
-         for p in graph.pipes if p.nu > 0.0),
-        default=0.0,
+        _prod(16.0, p.nu, p.length, ups, _exp(_prod(4.0, p.nu, m_tilde + b_tilde, p.length) / c))
+        for p in graph.pipes
     )
     return c0 + 2.0 * c + third
 
@@ -218,7 +222,7 @@ def decay_certificates(
     ups0 = upsilon0(graph, mu)
     c0 = c0_network(m_tilde, graph, c)
     c1 = c1_constant(m_tilde, b_tilde, graph, c)
-    delta = _exp(8.0 * nu_max * b_tilde * t0)
+    delta = _exp(_prod(8.0, nu_max, b_tilde, t0))
     factor = 1.0 / (1.0 + (c / c0) * ups0)
     lhs = 8.0 * t0 * delta * delta * nu_max
     rhs = (c / c1) * ups0

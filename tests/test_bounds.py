@@ -116,6 +116,19 @@ def test_c1_frictionless_pipe_adds_nothing_for_any_bounds():
     assert c1_constant(1e308, 1e308, one_pipe(theta=0.0), 340.0) == 6.0 * 340.0
 
 
+def test_zero_bound_times_a_factor_beyond_the_float_range_is_zero():
+    # theta 1e308: 4 L nu, 16 nu L and 8 nu_max overflow to inf, and a zero
+    # bound multiplying them contributes its limit 0, not inf * 0 = nan
+    net = NetworkGraph([PipeSpec("a", "0", "1", 680.0, 0.5, 1e308),
+                        PipeSpec("b", "1", "2", 1020.0, 0.6, 1e308),
+                        PipeSpec("c", "3", "1", 80000.0, 0.4, 1e308)])
+    cert = decay_certificates(net, dict.fromkeys(net.nodes, 0.0), 0.0, 0.0, 340.0)
+    assert (cert.c0, cert.c1, cert.delta_nu_t0) == (4.0 * 340.0, 6.0 * 340.0, 1.0)
+    assert cert.h1_condition_lhs == math.inf and not cert.h1_holds
+    assert cert.l0_window_factor == 1.0 / (1.0 + (340.0 / cert.c0) * cert.ups0)
+    assert wellposedness_constants(1e308, 1.0, 0.0).l_kontr == 0.0
+
+
 def test_c1_degenerate_is_6c():
     net = one_pipe()
     assert c1_constant(0.0, 0.0, net, 340.0) == 6.0 * 340.0

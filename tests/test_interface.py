@@ -555,6 +555,20 @@ def test_certify_constants_beyond_the_float_range_are_inf(tmp_path, bounds, inf_
         assert f"{name} = inf" in lines
 
 
+def test_certify_zero_bounds_with_friction_beyond_the_float_range_write_no_nan(tmp_path):
+    net = tmp_path / "star.net"
+    net.write_text("pipe a 0 1 680 0.5\npipe b 1 2 1020 0.6\npipe c 3 1 80000 0.4\n")
+    scn = tmp_path / "run.scn"
+    scn.write_text("theta 1e308\nt_end 30\ndt 0.25\n")
+    out = tmp_path / "out"
+    assert run_cli(["certify", "--network", str(net), "--scenario", str(scn), "--out", str(out),
+                    "--m-tilde", "0", "--b-tilde", "0"]) == 0
+    lines = (out / "certificate.txt").read_text().splitlines()
+    assert not [line for line in lines if "nan" in line]
+    for line in ("c0 = 1360.0", "c1 = 2040.0", "delta_nu_t0 = 1.0", "h1_condition_lhs = inf"):
+        assert line in lines
+
+
 @pytest.mark.parametrize("record, message", [
     ("c 1e300", "pressure law is not strictly increasing on the sampled range"),
     ("c 1e-300", "pressure law is not strictly increasing on the sampled range"),
