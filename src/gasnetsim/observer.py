@@ -139,14 +139,14 @@ def step_coupled(
     traces: Optional[Dict[NodeId, NodalTrace]] = {} if collect_nodal else None
     for v, reads, diam, mu, control in graph.node_plan(cfg.controls, cfg.mu):
         # One loop, not a comprehension per map: this runs per node and step.
-        s_in, r_in, d_in = {}, {}, {}
+        s_in, d_in = {}, {}
         for e, at_to in reads:
             sg, rg = s.grids[e], r.grids[e]
             if at_to:
                 x, y = sg.r_plus.item(-1), rg.r_plus.item(-1)
             else:
                 x, y = sg.r_minus.item(0), rg.r_minus.item(0)
-            s_in[e], r_in[e], d_in[e] = x, y, y - x
+            s_in[e], d_in[e] = x, y - x
         if control is None:
             if mu is None:
                 raise ConfigurationError(f"no gain mu for node {v!r}")
