@@ -597,9 +597,10 @@ def test_boundary_schedule_for_a_node_that_is_not_degree_1_is_rejected(tmp_path,
     assert "['5', '99']" in _assert_rejected(code, capsys, out)
 
 
-def _unreadable_inputs(tmp_path: Path, case: str):
+def _refused_inputs(tmp_path: Path, case: str):
     """(argv, out, the file at or above --out or None) for one input that
-    every command must refuse."""
+    every command refuses: a file it cannot read, an --out it cannot make,
+    or a scenario that does not fit the network."""
     net, scn = _write_small_inputs(tmp_path)
     out, blocker = tmp_path / "out", None
     command = ["simulate"]
@@ -625,8 +626,8 @@ def _unreadable_inputs(tmp_path: Path, case: str):
 @pytest.mark.parametrize("case", ["network-is-a-directory", "scenario-not-utf8",
                                   "out-is-a-file", "out-below-a-file",
                                   "certify-supplied-bounds-bad-schedule"])
-def test_cli_unreadable_input_exits_2_with_one_error_line(tmp_path, capsys, case):
-    argv, out, blocker = _unreadable_inputs(tmp_path, case)
+def test_cli_refused_input_exits_2_with_one_error_line(tmp_path, capsys, case):
+    argv, out, blocker = _refused_inputs(tmp_path, case)
     before = blocker.read_bytes() if blocker else None
     code = run_cli(argv)
     assert code == 2
