@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 validation/input error, 3 numerical failure.
 All artifacts are plain CSV/text files with '.' decimal points, written
-deterministically for identical inputs.
+deterministically for identical inputs by one writer, `_write`.
 """
 
 from __future__ import annotations
@@ -10,8 +10,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import chain
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,23 +52,26 @@ def _parse_times(text: str, option: str) -> List[float]:
     return times
 
 
-def _write_series_csv(path: Path, header: str, rows) -> None:
-    with path.open("w", newline="\n") as fh:
+def _write(path: Path, header: str, lines: Iterable[str]) -> None:
+    """Write `header`, a newline, then `lines` (each ending in one) to `path`,
+    making any missing directory.  Every output file is made here, as UTF-8
+    with LF line ends whatever the locale or platform."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        fh.writelines(
-            ",".join([_fmt(v) if isinstance(v, float) else str(v) for v in row]) + "\n"
-            for row in rows
-        )
+        fh.writelines(lines)
+
+
+def _write_series_csv(path: Path, header: str, rows) -> None:
+    _write(path, header, (",".join([_fmt(v) if isinstance(v, float) else str(v) for v in row])
+                          + "\n" for row in rows))
 
 
 def _write_snapshots(out_dir: Path, snapshots: Sequence[SnapshotFrame], cols=("delta_plus", "delta_minus")) -> None:
-    snap_dir = out_dir / "snapshots"
-    snap_dir.mkdir(parents=True, exist_ok=True)
     for frame in snapshots:
-        with (snap_dir / snapshot_file_name(frame.t)).open("w", newline="\n") as fh:
-            fh.write(f"pipe,x,{cols[0]},{cols[1]}\n")
-            for pid, xs in frame.x.items():
-                fh.writelines(_rows(pid, xs, frame.delta_plus[pid], frame.delta_minus[pid]))
+        _write(out_dir / "snapshots" / snapshot_file_name(frame.t), f"pipe,x,{cols[0]},{cols[1]}",
+               chain.from_iterable(_rows(pid, xs, frame.delta_plus[pid], frame.delta_minus[pid])
+                                   for pid, xs in frame.x.items()))
 
 
 def parse_fit_window(text: str, t_end: float) -> Tuple[float, float]:
@@ -84,15 +88,7 @@ def parse_fit_window(text: str, t_end: float) -> Tuple[float, float]:
 def write_observe_outputs(out: Path, result: RunResult, window: Tuple[float, float]) -> None:
     """Write l0.csv, l1.csv, residuals.csv, snapshots/ and rates.txt of one
     observer run into `out`, with decay rates fitted over `window`."""
-    out.mkdir(parents=True, exist_ok=True)
-    series = result.series
-    _write_series_csv(out / "l0.csv", "t,l0", zip(series.times.tolist(), series.l0.tolist()))
-    _write_series_csv(
-        out / "l1.csv", "t,l1", zip(series.times.tolist(), series.l1.tolist())
-    )
-    _write_series_csv(out / "residuals.csv", "t,node,residual", result.residuals)
-    _write_snapshots(out, result.snapshots)
-
+    series = result.series  # the fits run before the first file is made
     lines = [f"fit_window_s = [{window[0]:g}, {window[1]:g}]"]
     for label, use_l1 in (("l0", False), ("l1", True)):
         try:
@@ -107,7 +103,11 @@ def write_observe_outputs(out: Path, result: RunResult, window: Tuple[float, flo
     )
     lines.append(f"m_tilde = {_fmt(result.m_tilde)}")
     lines.append(f"b_tilde = {_fmt(result.b_tilde)}")
-    (out / "rates.txt").write_text("\n".join(lines) + "\n")
+    _write_series_csv(out / "l0.csv", "t,l0", zip(series.times.tolist(), series.l0.tolist()))
+    _write_series_csv(out / "l1.csv", "t,l1", zip(series.times.tolist(), series.l1.tolist()))
+    _write_series_csv(out / "residuals.csv", "t,node,residual", result.residuals)
+    _write_snapshots(out, result.snapshots)
+    _write(out / "rates.txt", "\n".join(lines), ())
 
 
 def _cmd_observe(args, graph: NetworkGraph, scenario: ScenarioSpec) -> int:
@@ -130,17 +130,15 @@ def _cmd_observe(args, graph: NetworkGraph, scenario: ScenarioSpec) -> int:
 def _cmd_simulate(args, graph: NetworkGraph, scenario: ScenarioSpec) -> int:
     snap_times = _parse_times(args.snapshots, "--snapshots")
     state, snapshots = run_truth(graph, scenario, snapshot_times=snap_times)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     law = scenario.law
-    with (out / "state.csv").open("w", newline="\n") as fh:
-        fh.write("pipe,x,r_plus,r_minus,pressure_bar,velocity\n")
-        for pid, g in state.grids.items():
-            rp, rm = g.r_plus, g.r_minus
-            p_bar = law.pressure(law.rtilde_inverse((rp + rm) / 2.0)) / BAR
-            fh.writelines(_rows(pid, g.cell_centers(), rp, rm, p_bar, (rp - rm) / 2.0))
-    if snapshots:
-        _write_snapshots(out, snapshots, cols=("r_plus", "r_minus"))
+    # Every pressure first: a midpoint outside the law's range then writes nothing.
+    p_bars = [law.pressure(law.rtilde_inverse((g.r_plus + g.r_minus) / 2.0)) / BAR
+              for g in state.grids.values()]
+    out = Path(args.out)
+    _write(out / "state.csv", "pipe,x,r_plus,r_minus,pressure_bar,velocity", chain.from_iterable(
+        _rows(pid, g.cell_centers(), g.r_plus, g.r_minus, p_bar, (g.r_plus - g.r_minus) / 2.0)
+        for (pid, g), p_bar in zip(state.grids.items(), p_bars)))
+    _write_snapshots(out, snapshots, cols=("r_plus", "r_minus"))
     return EXIT_OK
 
 
@@ -151,9 +149,7 @@ def _cmd_snapshot(args, graph: NetworkGraph, scenario: ScenarioSpec) -> int:
     result = run_observer_pair(
         graph, scenario, record_l1=False, residual_stride=0, snapshot_times=snap_times
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_snapshots(out, result.snapshots)
+    _write_snapshots(Path(args.out), result.snapshots)
     return EXIT_OK
 
 
@@ -177,8 +173,6 @@ def _cmd_certify(args, graph: NetworkGraph, scenario: ScenarioSpec) -> int:
     )
     wp = wellposedness_constants(inputs.t_horizon, inputs.m, inputs.nu_max)
     cert = decay_certificates(eff_graph, mu, m_tilde, b_tilde, c)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     lines = [
         f"network_pipes = {len(eff_graph.pipes)}",
         f"network_nodes = {len(eff_graph.nodes)}",
@@ -208,7 +202,7 @@ def _cmd_certify(args, graph: NetworkGraph, scenario: ScenarioSpec) -> int:
         "decay_rate_mu1 = not computed (existence only)",
         "decay_constant_C_tilde = not computed (existence only)",
     ]
-    (out / "certificate.txt").write_text("\n".join(lines) + "\n")
+    _write(Path(args.out) / "certificate.txt", "\n".join(lines), ())
     return EXIT_OK
 
 
