@@ -431,6 +431,11 @@ def make_boundary_control(
     ps = np.array([p.p_bar for p in pts])
     ms = np.array([p.m_kg_s for p in pts])
     area = pipe.area
+    # Density rises with pressure, so the lowest breakpoint gives the least rho * A.
+    p_min = min(p.p_bar for p in pts)
+    if law.density_from_pressure(p_min * BAR) * area == 0:
+        raise ValidationError(f"boundary pressure {p_min!r} bar at pipe {pipe.id!r} gives a "
+                              "density times cross section of 0")
 
     def control(t: float) -> float:
         if t < 0:

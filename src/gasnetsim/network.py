@@ -18,6 +18,9 @@ from .errors import ConfigurationError, ScheduleError, ValidationError
 NodeId = str
 PipeId = str
 
+# Characters an id may not hold: each would split or quote a row of an output CSV.
+_ID_BREAKERS = frozenset(',"\r\n')
+
 
 @dataclass(frozen=True)
 class PipeSpec:
@@ -31,6 +34,10 @@ class PipeSpec:
     theta: float = 0.0     # 1/m, lambda_fric / D
 
     def __post_init__(self) -> None:
+        for name in (self.id, self.from_node, self.to_node):
+            if not name or not _ID_BREAKERS.isdisjoint(name):
+                raise ValidationError(f"pipe {self.id!r}: an id must be nonempty and hold no "
+                                      f"',', '\"', CR or LF, got {name!r}")
         if self.from_node == self.to_node:
             raise ValidationError(f"pipe {self.id!r}: from_node equals to_node")
         if not 0 < self.length < math.inf:

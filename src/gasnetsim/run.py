@@ -30,6 +30,7 @@ class Assembled:
     config: ObserverConfig
     s_state: SimState
     r_state: SimState
+    weights: List[Tuple[slice, float]]  # of the L0 quadrature, one finite weight per pipe
 
 
 def default_dt(graph: NetworkGraph, c: float) -> float:
@@ -42,6 +43,9 @@ def assemble(graph: NetworkGraph, scenario: ScenarioSpec) -> Assembled:
     law = scenario.law
     eff_graph = graph.with_theta(scenario.theta)
     dt = scenario.dt if scenario.dt is not None else default_dt(eff_graph, law.sound_speed())
+    if not dt > 0:  # the default underflows to 0 on a pipe a few subnormal metres long
+        raise ValidationError(f"dt = {dt!r} s is not a positive time step (the default is "
+                              "the shortest pipe's length / (8 c))")
     horizon = f"t_end = {scenario.t_end!r} s at dt = {dt!r} s is"
     try:
         n_steps = int(math.ceil(scenario.t_end / dt - 1e-12))
@@ -64,7 +68,12 @@ def assemble(graph: NetworkGraph, scenario: ScenarioSpec) -> Assembled:
     config = ObserverConfig(mu=mu, controls=controls)
     s_state = _initial_state(eff_graph, scenario, dt, "S")
     r_state = _initial_state(eff_graph, scenario, dt, "R")
-    return Assembled(eff_graph, dt, n_steps, mu, config, s_state, r_state)
+    weights = quadrature_weights(s_state.grids, eff_graph)
+    for p, (_, w) in zip(eff_graph.pipes, weights):
+        if not math.isfinite(w):
+            raise ValidationError(f"pipe {p.id!r}: diameter {p.diameter!r} m gives an L0 "
+                                  f"weight of {w!r}")
+    return Assembled(eff_graph, dt, n_steps, mu, config, s_state, r_state, weights)
 
 
 def _initial_state(graph: NetworkGraph, scenario: ScenarioSpec, dt: float, which: str) -> SimState:
@@ -148,7 +157,7 @@ def run_observer_pair(
     snapshots: List[SnapshotFrame] = []
     net, dt = asm.graph, asm.dt
     tracker = RegularityTracker(dt)
-    weights = quadrature_weights(cs.s_state.grids, net)
+    weights = asm.weights
     prev_dp = prev_dm = None
     for k in range(n + 1):
         if k > 0:

@@ -1,7 +1,9 @@
 """Network and scenario records built from the README grammar, and certify
 bound options, with typical and extreme numbers: every command must end in
-exit 0, 2 or 3 and raise nothing."""
+exit 0, 2 or 3 and raise nothing, and on exit 0 write CSV files that any
+CSV reader splits as their header says."""
 
+import csv
 import tempfile
 from pathlib import Path
 
@@ -13,7 +15,7 @@ from gasnetsim.cli import run_cli
 # pipe takes the certificate's exponentials past the float range for bounds
 # in the hundreds, as on the bundled network.
 NETWORK = "pipe a 0 1 680 0.5\npipe b 1 2 1020 0.6\npipe c 3 1 80000 0.4\n"
-EXTREMES = ["0", "-1", "nan", "inf", "-inf", "1e308", "-1e308", "1e-308"]
+EXTREMES = ["0", "-1", "nan", "inf", "-inf", "1e308", "-1e308", "1e-308", "5e-324"]
 NODES = st.sampled_from(["0", "1", "2", "3", "9"])  # 1 is interior, 9 unknown
 PIPES = st.sampled_from(["a", "b", "c", "z"])  # z is unknown
 
@@ -64,15 +66,24 @@ def pipe_record(pid, ends, length, diameter):
     return st.one_of(st.just(f"pipe {pid} {ends} {length} {diameter}"), fuzzed)
 
 
-# The star of NETWORK, one pipe record at a time typical or fuzzed.
+# Half of the time an id of characters that a CSV row must not carry bare, or
+# that need UTF-8.
+def an_id(typical):
+    return st.one_of(st.just(typical), st.text(',"é-a', min_size=1, max_size=3))
+
+
+# The star of NETWORK, one pipe record at a time typical or fuzzed; pipe a
+# and its boundary node 0 may be renamed.
 NETWORKS = st.tuples(
     pipe_record("a", "0 1", "680", "0.5"), pipe_record("b", "1 2", "1020", "0.6"),
-    pipe_record("c", "3 1", "80000", "0.4"),
-).map(lambda lines: "\n".join(lines) + "\n")
+    pipe_record("c", "3 1", "80000", "0.4"), an_id("a"), an_id("0"),
+).map(lambda v: "\n".join([v[0].replace("pipe a 0 ", f"pipe {v[3]} {v[4]} ", 1), *v[1:3]])
+      + "\n")
 
 
 def exit_code(command, network, records, bounds=()):
-    """The exit code of `command` on `network` and `t_end 3` plus `records`."""
+    """The exit code of `command` on `network` and `t_end 3` plus `records`;
+    on exit 0, every CSV written is UTF-8 with rows as wide as its header."""
     with tempfile.TemporaryDirectory() as tmp:
         net, scn = Path(tmp, "net.net"), Path(tmp, "run.scn")
         net.write_text(network)
@@ -82,9 +93,14 @@ def exit_code(command, network, records, bounds=()):
         if command == "certify":
             argv += bounds
         try:
-            return run_cli(argv)
+            code = run_cli(argv)
         except SystemExit as exc:  # argparse's usage error
             return exc.code
+        for path in Path(tmp, "out").rglob("*.csv") if code == 0 else ():
+            with path.open(encoding="utf-8", newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert all(len(row) == len(header) for row in rows), path.name
+        return code
 
 
 @settings(max_examples=200)
@@ -97,6 +113,7 @@ def exit_code(command, network, records, bounds=()):
 @example("observe", ["c 1e308"], [])
 @example("observe", ["t_end 1e-308", "dt 1e-308"], [])
 @example("simulate", ["law isentropic 1e-308 1.4", "dt 0.25"], [])
+@example("simulate", ["boundary default 0 5e-324 1"], [])  # rho * A underflowed to 0
 @given(command=st.sampled_from(["observe", "simulate", "certify"]),
        records=st.lists(RECORDS, max_size=6), bounds=BOUNDS)
 def test_fuzzed_scenario_and_bounds_exit_0_2_or_3(command, records, bounds):
@@ -108,6 +125,10 @@ def test_fuzzed_scenario_and_bounds_exit_0_2_or_3(command, records, bounds):
 # boundary control divided by it, or overflowed in the cross section.
 @example("simulate", "pipe a n0 n1 340 1e-200\n", [])
 @example("observe", "pipe a n0 n1 340 1e200\n", [])
+# A length whose default dt, L / (8 c), underflowed to 0; ids that split a row.
+@example("observe", "pipe a n0 n1 5e-324 0.5\n", [])
+@example("simulate", 'pipe a,"é 0 1 680 0.5\npipe b 1 2 1020 0.6\n', [])
+@example("observe", "pipe é- -,é 1 680 0.5\npipe b 1 2 1020 0.6\n", [])
 @given(command=st.sampled_from(["observe", "simulate", "certify"]), network=NETWORKS,
        records=st.lists(RECORDS, max_size=2))
 def test_fuzzed_network_exit_0_2_or_3(command, network, records):

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -537,6 +538,35 @@ def test_cli_non_finite_input_exits_2_and_writes_nothing(tmp_path, capsys, which
     _assert_rejected(code, capsys, out)
 
 
+GASLIB_ONE_PIPE = ('<network><pipe id="{}" from="n1" to="n2"><length value="340"/>'
+                   '<diameter value="0.5"/></pipe></network>')
+
+
+@pytest.mark.parametrize("network, records, message", [
+    ("pipe a,b n0 n1 340 0.5", "", "line 1: pipe 'a,b'"),
+    ("pipe c n1 x,y 340 0.5", "", "'x,y'"),
+    ('pipe "q" n0 n1 340 0.5', "", "'\"q\"'"),
+    (GASLIB_ONE_PIPE.format("a&#10;b"), "", "<pipe id='a\\nb'>"),
+    # D^2 is finite, but the L0 weight D^2 dx / 2 is not
+    ("pipe a n0 n1 340 1e154", "", "L0 weight"),
+    # the default dt, length / (8 c), underflows to 0
+    ("pipe a n0 n1 5e-324 0.5", "", "dt = 0.0 s"),
+    # rho * A underflows to 0 and the control would divide by it
+    ("pipe a n0 n1 340 0.5", "boundary default 0 5e-324 1\n", "5e-324 bar"),
+], ids=["comma-pipe-id", "comma-node-id", "quoted-pipe-id", "gaslib-newline-id",
+        "weight-overflows", "default-dt-underflows", "density-underflows"])
+@pytest.mark.parametrize("command", ["simulate", "observe", "certify"])
+def test_cli_network_outputs_cannot_carry_exits_2_and_writes_nothing(tmp_path, capsys, command,
+                                                                      network, records,
+                                                                      message):
+    net, scn = tmp_path / "net.net", tmp_path / "run.scn"
+    net.write_text(network + "\n")
+    scn.write_text("t_end 3\n" + records)
+    out = tmp_path / "out"
+    code = run_cli([command, "--network", str(net), "--scenario", str(scn), "--out", str(out)])
+    assert message in _assert_rejected(code, capsys, out)
+
+
 @pytest.mark.parametrize("bounds, inf_lines", [
     (["--amplitude-bound", "22", "--m-tilde", "0.1", "--b-tilde", "0.1"], ["gronwall_factor"]),
     (["--m-tilde", "250", "--b-tilde", "1"], ["c0", "c1"]),
@@ -756,10 +786,12 @@ def test_state_csv_equals_per_cell_reference(tmp_path, monkeypatch, law_name):
 def test_state_csv_domain_error_is_one_line(tmp_path, capsys, monkeypatch, law_name, midpoint):
     rp = np.full(50, 100.0)
     rp[7] = midpoint
-    code, _ = _simulate_with_state(tmp_path, monkeypatch, STATE_LAWS[law_name], {"p": (rp, rp)})
+    code, out = _simulate_with_state(tmp_path, monkeypatch, STATE_LAWS[law_name],
+                                     {"p": (rp, rp)})
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and repr(midpoint) in err[0]
+    assert not out.exists()
 
 
 def test_series_and_snapshot_files_equal_per_value_repr(tmp_path):
@@ -784,6 +816,39 @@ def test_series_and_snapshot_files_equal_per_value_repr(tmp_path):
         for pid in x for i in range(len(x[pid]))
     ]
     assert (tmp_path / "snapshots" / "t_12.5.csv").read_text().splitlines() == expected
+
+
+# Two pipes whose pipe and node ids are not ASCII, run by every command.
+LOCALE_NET = "pipe é nœud0 nœud1 340 0.5\npipe ü nœud1 Ω 510 0.6\n"
+LOCALE_RUNS = {"observe": [], "simulate": ["--snapshots", "0,3"],
+               "snapshot": ["--times", "0,1.5"], "certify": []}
+
+
+def test_outputs_are_the_same_utf8_bytes_under_the_c_locale(tmp_path):
+    net, scn = tmp_path / "net.net", tmp_path / "run.scn"
+    net.write_text(LOCALE_NET, encoding="utf-8")
+    scn.write_text("t_end 3\nmu uniform 0.5\nic R é half_step 60 1\n")
+
+    def argvs(root):
+        return [[cmd, "--network", str(net), "--scenario", str(scn), "--out",
+                 str(root / cmd), *extra] for cmd, extra in LOCALE_RUNS.items()]
+
+    assert [run_cli(argv) for argv in argvs(tmp_path / "here")] == [0, 0, 0, 0]
+    script = ("import json, sys\nfrom gasnetsim.cli import run_cli\n"
+              "print(json.dumps([run_cli(a) for a in json.loads(sys.argv[1])]))")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs(tmp_path / "c"))],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [0, 0, 0, 0], done.stderr
+
+    def files(root):
+        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))
+                if p.is_file()}
+
+    here, c_locale = files(tmp_path / "here"), files(tmp_path / "c")
+    assert len(here) == 13 and c_locale == here
+    assert "é,".encode() in here[Path("simulate", "state.csv")]
 
 
 def test_cli_import_leaves_scipy_unloaded():
