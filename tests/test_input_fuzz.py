@@ -86,7 +86,7 @@ def exit_code(command, network, records, bounds=()):
     on exit 0, every CSV written is UTF-8 with rows as wide as its header."""
     with tempfile.TemporaryDirectory() as tmp:
         net, scn = Path(tmp, "net.net"), Path(tmp, "run.scn")
-        net.write_text(network)
+        net.write_text(network, encoding="utf-8")
         scn.write_text("\n".join(["t_end 3", *records]) + "\n")  # a few steps unless overridden
         argv = [command, "--network", str(net), "--scenario", str(scn),
                 "--out", str(Path(tmp, "out"))]
@@ -96,10 +96,11 @@ def exit_code(command, network, records, bounds=()):
             code = run_cli(argv)
         except SystemExit as exc:  # argparse's usage error
             return exc.code
-        for path in Path(tmp, "out").rglob("*.csv") if code == 0 else ():
-            with path.open(encoding="utf-8", newline="") as fh:
-                header, *rows = csv.reader(fh)
-            assert all(len(row) == len(header) for row in rows), path.name
+        if code == 0:
+            for path in Path(tmp, "out").rglob("*.csv"):
+                with path.open(encoding="utf-8", newline="") as fh:
+                    header, *rows = csv.reader(fh)
+                assert all(len(row) == len(header) for row in rows), path.name
         return code
 
 

@@ -556,7 +556,7 @@ GASLIB_ONE_PIPE = ('<network><pipe id="{}" from="n1" to="n2"><length value="340"
 ], ids=["comma-pipe-id", "comma-node-id", "quoted-pipe-id", "gaslib-newline-id",
         "weight-overflows", "default-dt-underflows", "density-underflows"])
 @pytest.mark.parametrize("command", ["simulate", "observe", "certify"])
-def test_cli_network_outputs_cannot_carry_exits_2_and_writes_nothing(tmp_path, capsys, command,
+def test_cli_unusable_network_or_boundary_exits_2_and_writes_nothing(tmp_path, capsys, command,
                                                                       network, records,
                                                                       message):
     net, scn = tmp_path / "net.net", tmp_path / "run.scn"
@@ -827,7 +827,7 @@ LOCALE_RUNS = {"observe": [], "simulate": ["--snapshots", "0,3"],
 def test_outputs_are_the_same_utf8_bytes_under_the_c_locale(tmp_path):
     net, scn = tmp_path / "net.net", tmp_path / "run.scn"
     net.write_text(LOCALE_NET, encoding="utf-8")
-    scn.write_text("t_end 3\nmu uniform 0.5\nic R é half_step 60 1\n")
+    scn.write_text("t_end 3\nmu uniform 0.5\nic R é half_step 60 1\n", encoding="utf-8")
 
     def argvs(root):
         return [[cmd, "--network", str(net), "--scenario", str(scn), "--out",
