@@ -89,9 +89,9 @@ def main(argv=None) -> int:
                 rate = None
             sync = result.sync_time
             n_runs += 1
-            sync_txt = f"{sync:8.1f}" if sync is not None else "    none"
-            rate_num = f"{rate:10.6f}" if rate is not None else "       n/a"
-            print(f"{family:16s} mu={label:5s} rate={rate_num}/s sync={sync_txt}s [{wall:5.1f}s]")
+            rate_txt = f"{rate:10.6f}/s" if rate is not None else f"{'n/a':>12s}"
+            sync_txt = f"{sync:8.1f}s" if sync is not None else f"{'none':>9s}"
+            print(f"{family:16s} mu={label:5s} rate={rate_txt} sync={sync_txt} [{wall:5.1f}s]")
 
     print(f"\nwrote {n_runs} runs under {out_root}/")
     return 0

@@ -91,8 +91,8 @@ def junction_outflow(incoming: Mapping[PipeId, float], diameters: Mapping[PipeId
     which enforces pressure continuity (out_e + in_e is the same on every
     pipe) and the diameter-squared weighted Kirchhoff balance.
 
-    Degree-1 node: ``boundary_gain`` must supply (mu, u) and
-        out = (1 - mu) * u + mu * in.
+    Degree-1 node: ``boundary_gain`` must supply (mu, u) and the output is
+    `boundary_outflow`.
     """
     if incoming.keys() != diameters.keys():
         raise ValidationError("junction_outflow: incoming/diameter keys differ")
@@ -104,7 +104,7 @@ def junction_outflow(incoming: Mapping[PipeId, float], diameters: Mapping[PipeId
         mu, u = boundary_gain
         check_gain(mu, None)
         ((e, r_in),) = incoming.items()
-        return {e: (1.0 - mu) * u + mu * r_in}
+        return {e: boundary_outflow(mu, u, r_in)}
     if boundary_gain is not None:
         raise ValidationError("interior node takes no boundary_gain")
     w = omega_v(diameters.values())
@@ -112,27 +112,34 @@ def junction_outflow(incoming: Mapping[PipeId, float], diameters: Mapping[PipeId
     return {e: w * total - r for e, r in incoming.items()}
 
 
+def boundary_outflow(mu: float, u: float, r_in: float) -> float:
+    """The outgoing invariant (1 - mu) u + mu R_in at a degree-1 node with
+    control value u, in the one rounding that the truth and the observer share."""
+    return (1.0 - mu) * u + mu * r_in
+
+
+def end_cell(grid, at_to: bool) -> float:
+    """The invariant a node reads from a pipe's grid: R+ at x = L if the node
+    is the pipe's to_node (`at_to`), R- at x = 0 otherwise."""
+    return grid.r_plus.item(-1) if at_to else grid.r_minus.item(0)
+
+
 class PlanNode(NamedTuple):
     """The per-run constants of one node map (see `NetworkGraph.node_plan`)."""
 
     node: NodeId
-    reads: Tuple[Tuple[PipeId, bool], ...]  # (pipe, the node is its to_node) per pipe
+    reads: Tuple[Tuple[PipeId, bool], ...]  # (pipe, at_to) per pipe end, for `end_cell`
     diameters: Dict[PipeId, float]
     mu: Optional[float]  # checked; None at an interior node without a gain
     control: Optional[Callable[[float], float]]  # None at an interior node
-
-    def incoming(self, grids) -> Dict[PipeId, float]:
-        """The node's incoming invariants in `grids` (pipe id -> EdgeGrid): R+
-        at x = L of a pipe it is the to_node of, R- at x = 0 otherwise."""
-        return {e: grids[e].r_plus.item(-1) if at_to else grids[e].r_minus.item(0)
-                for e, at_to in self.reads}
 
 
 class NetworkGraph:
     """Immutable pipe network with cached incident pipes per node.
 
-    The per-node diameter tables are precomputed because every node map
-    reads them on every time step; `omega_v` of a table is memoised.
+    The per-node diameter tables and pipe-end reads are precomputed because
+    every node map uses them on every time step; `omega_v` of a table is
+    memoised.
     """
 
     def __init__(self, pipes: Sequence[PipeSpec]):
@@ -161,6 +168,9 @@ class NetworkGraph:
         self._check_connected()
         self._diameters: Dict[NodeId, Dict[PipeId, float]] = {
             v: {p.id: p.diameter for p in self._incident[v]} for v in self.nodes
+        }
+        self._reads: Dict[NodeId, Tuple[Tuple[PipeId, bool], ...]] = {
+            v: tuple((p.id, v == p.to_node) for p in self._incident[v]) for v in self.nodes
         }
         self.boundary_nodes: Tuple[NodeId, ...] = tuple(
             v for v in self.nodes if len(self._incident[v]) == 1
@@ -193,6 +203,10 @@ class NetworkGraph:
         except KeyError:
             raise ValidationError(f"unknown node id {v!r}") from None
 
+    def incoming(self, v: NodeId, grids) -> Dict[PipeId, float]:
+        """Node v's incoming invariants in `grids` (pipe id -> EdgeGrid), by `end_cell`."""
+        return {e: end_cell(grids[e], at_to) for e, at_to in self._reads[v]}
+
     def node_plan(
         self, controls: Mapping[NodeId, Callable[[float], float]], gains: Mapping[NodeId, float]
     ) -> Tuple[PlanNode, ...]:
@@ -212,8 +226,7 @@ class NetworkGraph:
                 raise ConfigurationError(f"no boundary gain mu for node {v!r}")
             if mu is not None:
                 check_gain(mu, v)
-            reads = tuple((p.id, v == p.to_node) for p in self._incident[v])
-            nodes.append(PlanNode(v, reads, self._diameters[v], mu,
+            nodes.append(PlanNode(v, self._reads[v], self._diameters[v], mu,
                                   controls[v] if boundary else None))
         plan = tuple(nodes)
         self._plan = (controls, gains, dict(controls), dict(gains), plan)

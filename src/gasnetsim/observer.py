@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import ConfigurationError, ValidationError
-from .network import NetworkGraph, NodeId, PipeId, PipeSpec, check_gain, junction_outflow, omega_v
-from .solver import (Control, EdgeGrid, SimState, friction_root_shifted, gather_node_inputs,
-                     step_system, transport)
+from .network import (NetworkGraph, NodeId, PipeId, PipeSpec, boundary_outflow, check_gain,
+                      end_cell, junction_outflow, omega_v)
+from .solver import Control, EdgeGrid, SimState, friction_root_shifted, step_system, transport
 
 
 @dataclass
@@ -75,21 +75,15 @@ def diff_junction_outflow(
     return {e: mu * (w * total - d) for e, d in delta_in.items()}
 
 
-def error_node_outputs(
-    graph: NetworkGraph, delta_in: Mapping[NodeId, Mapping[PipeId, float]],
-    mu: Mapping[NodeId, float]
-) -> Dict[NodeId, Dict[PipeId, float]]:
-    """Outgoing error invariants at every node: mu * delta_in at boundary
-    nodes, `diff_junction_outflow` at interior nodes."""
-    outs: Dict[NodeId, Dict[PipeId, float]] = {}
-    for v, incoming in delta_in.items():
-        m = mu[v]
-        check_gain(m, v)
-        if len(incoming) == 1:
-            outs[v] = {e: m * d for e, d in incoming.items()}
-        else:
-            outs[v] = diff_junction_outflow(incoming, graph.diameters_at(v), m)
-    return outs
+def error_outflow(
+    delta_in: Mapping[PipeId, float], diameters: Mapping[PipeId, float], mu: float
+) -> Dict[PipeId, float]:
+    """Error-system node map at one node: mu * delta_in at a degree-1 node,
+    whose gain the caller has checked, and `diff_junction_outflow` at an
+    interior node."""
+    if len(delta_in) == 1:
+        return {e: mu * d for e, d in delta_in.items()}
+    return diff_junction_outflow(delta_in, diameters, mu)
 
 
 def observer_node_update(
@@ -130,36 +124,32 @@ def step_coupled(
     Both node maps read the previous-step edge states (one shared
     measurement snapshot) and the same control values u(t), then the two
     systems advance independently.  One pass over `graph.node_plan` gives
-    every node's truth map, error map (as `error_node_outputs`) and observer
-    map (as `observer_node_update`).
+    every node's truth map, error map (`error_outflow`) and observer map (as
+    `observer_node_update`).
     """
     cfg, s, r = cs.config, cs.s_state, cs.r_state
     s_out: Dict[NodeId, Dict[PipeId, float]] = {}
     r_out: Dict[NodeId, Dict[PipeId, float]] = {}
     traces: Optional[Dict[NodeId, NodalTrace]] = {} if collect_nodal else None
     for v, reads, diam, mu, control in graph.node_plan(cfg.controls, cfg.mu):
-        # One loop, not a comprehension per map: this runs per node and step.
+        # One loop over both systems, not a comprehension per system: this
+        # runs per node and step.
         s_in, d_in = {}, {}
         for e, at_to in reads:
-            sg, rg = s.grids[e], r.grids[e]
-            if at_to:
-                x, y = sg.r_plus.item(-1), rg.r_plus.item(-1)
-            else:
-                x, y = sg.r_minus.item(0), rg.r_minus.item(0)
+            x, y = end_cell(s.grids[e], at_to), end_cell(r.grids[e], at_to)
             s_in[e], d_in[e] = x, y - x
+        if mu is None:
+            raise ConfigurationError(f"no gain mu for node {v!r}")
+        d_out = error_outflow(d_in, diam, mu)
         if control is None:
-            if mu is None:
-                raise ConfigurationError(f"no gain mu for node {v!r}")
             so = s_out[v] = junction_outflow(s_in, diam)
-            d_out = diff_junction_outflow(d_in, diam, mu)
             r_out[v] = {e: so[e] + d_out[e] for e in so}
         else:
-            # e, y: the one pipe and R_in.  The observer keeps the truth map's
-            # form (1 - mu) u + mu R_in; S_out + mu delta rounds differently.
+            # e, y: the one pipe and the observer's R_in.  The observer keeps
+            # the truth map's boundary form; S_out + mu delta rounds differently.
             u = control(s.t)
             s_out[v] = junction_outflow(s_in, diam, (mu, u))
-            r_out[v] = {e: (1.0 - mu) * u + mu * y}
-            d_out = {e: mu * d_in[e]}
+            r_out[v] = {e: boundary_outflow(mu, u, y)}
         if traces is not None:
             traces[v] = NodalTrace(mu, d_in, d_out)
     s_next = step_system(s, graph, cfg.controls, cfg.mu, node_outs=s_out)
@@ -175,12 +165,12 @@ def direct_diff_step(
 ) -> SimState:
     """Advance the error system delta = R - S directly by one tick.
 
-    Node maps: `error_node_outputs`.  The friction source
-    sigma(delta + S) - sigma(S) is applied by the same implicit split,
-    solving for the new delta with the truth difference frozen at its
-    post-step value; `s_new` must therefore be the truth state already
-    advanced to the same step index.  With zero friction everywhere the
-    truth trajectory is not needed.
+    Node maps: `error_outflow` at every node, its gain checked first.  The
+    friction source sigma(delta + S) - sigma(S) is applied by the same
+    implicit split, solving for the new delta with the truth difference
+    frozen at its post-step value; `s_new` must therefore be the truth state
+    already advanced to the same step index.  With zero friction everywhere
+    the truth trajectory is not needed.
     """
     needs_truth = any(p.nu > 0.0 for p in graph.pipes)
     if needs_truth:
@@ -193,7 +183,10 @@ def direct_diff_step(
                 "truth state must already be advanced by one step "
                 f"(got {s_new.step_index}, expected {d_state.step_index + 1})"
             )
-    outs = error_node_outputs(graph, gather_node_inputs(d_state, graph), mu)
+    outs = {}
+    for v in graph.nodes:
+        check_gain(mu[v], v)
+        outs[v] = error_outflow(graph.incoming(v, d_state.grids), graph.diameters_at(v), mu[v])
 
     def shifted_friction(p: PipeSpec, g: EdgeGrid):
         sg = s_new.grids[p.id]

@@ -61,6 +61,9 @@ def assemble(graph: NetworkGraph, scenario: ScenarioSpec) -> Assembled:
     if stray:
         raise ValidationError(f"boundary schedule for node(s) that are not degree-1 nodes: "
                               f"{sorted(stray)}")
+    if scenario.boundary_default is not None and "default" in eff_graph.boundary_nodes:
+        raise ValidationError("boundary node 'default' cannot have its own schedule: "
+                              "'boundary default' records set every unscheduled node")
     controls = {
         v: make_boundary_control(scenario.schedule_for(v), eff_graph.incident_pipes(v)[0], law)
         for v in eff_graph.boundary_nodes

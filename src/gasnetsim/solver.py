@@ -180,20 +180,6 @@ def pack(grids: Mapping[PipeId, EdgeGrid], graph: NetworkGraph) -> Tuple[np.ndar
     return np.concatenate([g.r_plus for g in gs]), np.concatenate([g.r_minus for g in gs])
 
 
-def gather_node_inputs(
-    state: SimState, graph: NetworkGraph
-) -> Dict[NodeId, Dict[PipeId, float]]:
-    """Incoming invariant at every node: R+ at the x=L end, R- at the x=0 end."""
-    vals: Dict[NodeId, Dict[PipeId, float]] = {}
-    for v in graph.nodes:
-        d: Dict[PipeId, float] = {}
-        for p in graph.incident_pipes(v):
-            g = state.grids[p.id]
-            d[p.id] = g.r_plus.item(-1) if v == p.to_node else g.r_minus.item(0)
-        vals[v] = d
-    return vals
-
-
 def transport(
     state: SimState,
     graph: NetworkGraph,
@@ -235,7 +221,8 @@ def step_system(
         node_outs = {}
         for n in graph.node_plan(controls, gains):
             gain = None if n.control is None else (n.mu, n.control(state.t))
-            node_outs[n.node] = junction_outflow(n.incoming(state.grids), n.diameters, gain)
+            node_outs[n.node] = junction_outflow(graph.incoming(n.node, state.grids),
+                                                 n.diameters, gain)
     dt = state.dt
     return transport(
         state, graph, node_outs, lambda p, g: friction_step(g.r_plus, g.r_minus, p.nu, dt)

@@ -2,22 +2,42 @@
 is a delay line: the R+ that a pipe's to-node reads at step k is what its
 from-node sent n_e steps earlier, or an initial cell before that, and R-
 mirrors it.  `delay_line` runs a network from that fact alone: it keeps the
-values sent into each pipe and calls `junction_outflow` at every node, and
-shares no code with `advect_step` or `transport`."""
+values sent into each pipe and calls a given node map at every node, and
+shares no code with `advect_step`, `transport` or the kernel's end-cell
+reader.  The truth map is `junction_outflow`; the error system's map is
+written out here from the paper's rule."""
 
 import numpy as np
 from hypothesis import given, strategies as st
 
 from gasnetsim.fileio import bundled_path, parse_network_file, parse_scenario
 from gasnetsim.network import NetworkGraph, PipeSpec, junction_outflow
-from gasnetsim.observer import step_system
+from gasnetsim.observer import diff_junction_outflow, direct_diff_step, step_system
 from gasnetsim.run import assemble, run_truth
 from gasnetsim.solver import SimState, build_grids
 
 
-def delay_line(graph, grids, controls, mu, dt, n_steps):
+def truth_map(graph, controls, mu, dt):
+    """The truth node map; step k evaluates the controls at t = (k - 1) dt."""
+    def node_map(v, k, incoming):
+        gain = (mu[v], controls[v]((k - 1) * dt)) if v in controls else None
+        return junction_outflow(incoming, graph.diameters_at(v), gain)
+    return node_map
+
+
+def error_map(graph, mu):
+    """The error-system node map: mu * delta at a degree-1 node, mu (omega_v
+    sum D^2 delta - delta) at an interior node."""
+    def node_map(v, k, incoming):
+        if len(incoming) == 1:
+            return {e: mu[v] * d for e, d in incoming.items()}
+        return diff_junction_outflow(incoming, graph.diameters_at(v), mu[v])
+    return node_map
+
+
+def delay_line(graph, grids, node_map, n_steps):
     """(R+, R-) of every pipe after `n_steps` frictionless exact steps from
-    `grids`; step k evaluates the controls at t = (k - 1) dt."""
+    `grids`; `node_map(v, k, incoming)` gives node v's outputs at step k."""
     sent_plus = {p.id: [] for p in graph.pipes}  # [j - 1]: sent at step j into x = 0
     sent_minus = {p.id: [] for p in graph.pipes}  # [j - 1]: sent at step j into x = L
     for k in range(1, n_steps + 1):
@@ -29,8 +49,7 @@ def delay_line(graph, grids, controls, mu, dt, n_steps):
                 sent, init, i = ((sent_plus, g.r_plus, n - k) if v == p.to_node  # R+ at x = L
                                  else (sent_minus, g.r_minus, k - 1))  # R- at x = 0
                 incoming[p.id] = sent[p.id][k - n - 1] if k > n else init.item(i)
-            gain = (mu[v], controls[v]((k - 1) * dt)) if v in controls else None
-            outs[v] = junction_outflow(incoming, graph.diameters_at(v), gain)
+            outs[v] = node_map(v, k, incoming)
         for p in graph.pipes:
             sent_plus[p.id].append(outs[p.from_node][p.id])
             sent_minus[p.id].append(outs[p.to_node][p.id])
@@ -56,8 +75,8 @@ def assert_same_bits(state, final):
 @st.composite
 def delay_cases(draw):
     """A frictionless 1-6-pipe tree or tree plus one cycle-closing pipe,
-    random initial fields, gains in [-1, 1], affine controls and a step
-    count that sends values round the network several times."""
+    random initial fields, gains in [-1, 1] at every node, affine controls
+    and a step count that sends values round the network several times."""
     n_pipes = draw(st.integers(1, 6))
     cyclic = n_pipes > 1 and draw(st.booleans())
     ends = [(draw(st.integers(0, i)), i + 1) for i in range(n_pipes - cyclic)]
@@ -74,7 +93,7 @@ def delay_cases(draw):
     for g in grids.values():
         g.r_plus[:] = rng.normal(1300.0, 50.0, g.n_cells)
         g.r_minus[:] = rng.normal(1300.0, 50.0, g.n_cells)
-    mu = {v: draw(st.floats(-1.0, 1.0)) for v in graph.boundary_nodes}
+    mu = {v: draw(st.floats(-1.0, 1.0)) for v in graph.nodes}
     controls = {v: (lambda t, a=rng.normal(1300.0, 50.0), b=rng.normal(): a + b * t)
                 for v in graph.boundary_nodes}
     return graph, grids, controls, mu, dt, draw(st.integers(1, 40))
@@ -83,10 +102,20 @@ def delay_cases(draw):
 @given(delay_cases())
 def test_frictionless_exact_kernel_is_a_delay_line(case):
     graph, grids, controls, mu, dt, n_steps = case
-    final = delay_line(graph, grids, controls, mu, dt, n_steps)
+    final = delay_line(graph, grids, truth_map(graph, controls, mu, dt), n_steps)
     state = SimState(grids=grids, dt=dt)
     for _ in range(n_steps):
         state = step_system(state, graph, controls, mu)
+    assert_same_bits(state, final)
+
+
+@given(delay_cases())
+def test_frictionless_exact_error_system_is_a_delay_line(case):
+    graph, grids, _, mu, dt, n_steps = case
+    final = delay_line(graph, grids, error_map(graph, mu), n_steps)
+    state = SimState(grids=grids, dt=dt)
+    for _ in range(n_steps):
+        state = direct_diff_step(state, graph, mu)
     assert_same_bits(state, final)
 
 
@@ -97,7 +126,7 @@ def test_bundled_network_run_is_a_delay_line():
         + "mu mixed\n")
     asm = assemble(graph, scenario)
     assert asm.n_steps == 510 and scenario.theta == 0.0
-    final = delay_line(asm.graph, asm.s_state.grids, asm.config.controls, asm.mu, asm.dt,
-                       asm.n_steps)
+    final = delay_line(asm.graph, asm.s_state.grids,
+                       truth_map(asm.graph, asm.config.controls, asm.mu, asm.dt), asm.n_steps)
     state, _ = run_truth(graph, scenario)
     assert_same_bits(state, final)

@@ -553,8 +553,11 @@ GASLIB_ONE_PIPE = ('<network><pipe id="{}" from="n1" to="n2"><length value="340"
     ("pipe a n0 n1 5e-324 0.5", "", "dt = 0.0 s"),
     # rho * A underflows to 0 and the control would divide by it
     ("pipe a n0 n1 340 0.5", "boundary default 0 5e-324 1\n", "5e-324 bar"),
+    # `boundary default` is the fallback, never the schedule of a node so named
+    ("pipe a default n1 340 0.5", "boundary default 0 61 0\n", "boundary node 'default'"),
 ], ids=["comma-pipe-id", "comma-node-id", "quoted-pipe-id", "gaslib-newline-id",
-        "weight-overflows", "default-dt-underflows", "density-underflows"])
+        "weight-overflows", "default-dt-underflows", "density-underflows",
+        "node-named-default"])
 @pytest.mark.parametrize("command", ["simulate", "observe", "certify"])
 def test_cli_unusable_network_or_boundary_exits_2_and_writes_nothing(tmp_path, capsys, command,
                                                                       network, records,
@@ -859,13 +862,42 @@ def test_cli_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "False"
 
 
-def test_run_experiments_script_runs_from_plain_checkout(tmp_path):
+def _run_experiments(tmp_path, *args):
+    """The sweep script in a subprocess without PYTHONPATH, as from a plain checkout."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    out = tmp_path / "results"
     done = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "run_experiments.py"), "--t-end", "5",
-         "--families", "step_nofriction", "--mus", "0", "--out", str(out)],
+        [sys.executable, str(REPO / "scripts" / "run_experiments.py"), *args,
+         "--out", str(tmp_path / "results")],
         env=env, cwd=tmp_path, capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
-    assert (out / "step_nofriction" / "mu_0" / "rates.txt").exists()
+    return done.stdout.splitlines()
+
+
+def test_run_experiments_script_runs_from_plain_checkout(tmp_path):
+    lines = _run_experiments(tmp_path, "--t-end", "5", "--families", "step_nofriction",
+                             "--mus", "0")
+    assert (tmp_path / "results" / "step_nofriction" / "mu_0" / "rates.txt").exists()
+    # too short to fit a rate or to sync: no unit after either word
+    summary = lines[0].split()
+    assert summary[:2] == ["step_nofriction", "mu=0"]
+    assert summary[2:5] == ["rate=", "n/a", "sync="]
+    assert summary[5] == "none"
+
+
+def test_run_experiments_writes_what_observe_writes(tmp_path):
+    _run_experiments(tmp_path, "--t-end", "30", "--families", "step_nofriction", "--mus", "0.5")
+    text = bundled_path("step_nofriction.scn").read_text(encoding="utf-8")
+    for old, new in (("t_end 600", "t_end 30"), ("mu uniform 0", "mu uniform 0.5")):
+        assert old in text
+        text = text.replace(old, new)
+    scn = tmp_path / "run.scn"
+    scn.write_text(text, encoding="utf-8")
+    out = tmp_path / "observe"
+    assert run_cli(["observe", "--network", str(bundled_path("gaslib40_like.net")),
+                    "--scenario", str(scn), "--out", str(out), "--snapshots", "0,90,180",
+                    "--residual-stride", "0"]) == 0
+    swept = tmp_path / "results" / "step_nofriction" / "mu_0.5"
+    files = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(swept) for p in swept.rglob("*") if p.is_file())
+    assert files and all((out / f).read_bytes() == (swept / f).read_bytes() for f in files)

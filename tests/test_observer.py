@@ -13,8 +13,8 @@ from gasnetsim.observer import (
     CoupledState,
     ObserverConfig,
     difference_state,
+    diff_junction_outflow,
     direct_diff_step,
-    error_node_outputs,
     observer_node_update,
     step_coupled,
 )
@@ -25,7 +25,6 @@ from gasnetsim.solver import (
     advect_step,
     build_grids,
     friction_step,
-    gather_node_inputs,
     step_system,
 )
 
@@ -60,15 +59,13 @@ def test_measure_nodal_conventions(single_pipe):
     g = grids["p"]
     g.r_plus[:] = np.arange(g.n_cells, dtype=float)
     g.r_minus[:] = -np.arange(g.n_cells, dtype=float)
-    meas = gather_node_inputs(SimState(grids=grids, dt=0.375), single_pipe)
-    assert meas["b"] == {"p": g.r_plus[-1]}  # incoming at the x=L end is R+
-    assert meas["a"] == {"p": g.r_minus[0]}  # incoming at the x=0 end is R-
+    assert single_pipe.incoming("b", grids) == {"p": g.r_plus[-1]}  # x=L end: R+
+    assert single_pipe.incoming("a", grids) == {"p": g.r_minus[0]}  # x=0 end: R-
 
 
 def test_measure_nodal_zero_state(five_pipe):
     grids = build_grids(five_pipe, 340.0, 0.5)
-    meas = gather_node_inputs(SimState(grids=grids, dt=0.5), five_pipe)
-    assert all(x == 0.0 for incoming in meas.values() for x in incoming.values())
+    assert all(x == 0.0 for v in five_pipe.nodes for x in five_pipe.incoming(v, grids).values())
 
 
 def test_measure_nodal_interior_out_is_junction_map(five_pipe):
@@ -78,14 +75,14 @@ def test_measure_nodal_interior_out_is_junction_map(five_pipe):
         g.r_plus[:] = rng.uniform(-1, 1, g.n_cells)
         g.r_minus[:] = rng.uniform(-1, 1, g.n_cells)
     state = SimState(grids=grids, dt=0.5)
-    ins = gather_node_inputs(state, five_pipe)
+    ins = {v: five_pipe.incoming(v, grids) for v in five_pipe.nodes}
     controls = {v: (lambda t: 0.0) for v in five_pipe.boundary_nodes}
     gains = {v: 0.5 for v in five_pipe.nodes}
     plan = {n.node: n for n in five_pipe.node_plan(controls, gains)}
     # five_pipe has no friction, so the ghost cells hold the node outputs
     nxt = step_system(state, five_pipe, controls, gains).grids
     for v in ("n2", "n3"):
-        assert plan[v].incoming(grids) == ins[v] and plan[v].control is None
+        assert plan[v].control is None
         outs = {p.id: nxt[p.id].r_plus[0] if v == p.from_node else nxt[p.id].r_minus[-1]
                 for p in five_pipe.incident_pipes(v)}
         assert outs == junction_outflow(ins[v], five_pipe.diameters_at(v))
@@ -459,7 +456,9 @@ def test_coupled_step_equals_per_node_references(case):
             assert np.array_equal(after.grids[p.id].r_plus, rp)
             assert np.array_equal(after.grids[p.id].r_minus, rm)
     d_in = {v: {e: r_in[v][e] - x for e, x in ins.items()} for v, ins in s_in.items()}
-    d_out = error_node_outputs(graph, d_in, mu)
+    d_out = {v: {e: mu[v] * d for e, d in ins.items()} if len(ins) == 1
+             else diff_junction_outflow(ins, graph.diameters_at(v), mu[v])
+             for v, ins in d_in.items()}
     assert list(traces) == list(graph.nodes)
     for v, tr in traces.items():
         assert (tr.mu, tr.delta_in, tr.delta_out) == (mu[v], d_in[v], d_out[v])
