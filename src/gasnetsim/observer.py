@@ -82,7 +82,8 @@ def error_outflow(
     whose gain the caller has checked, and `diff_junction_outflow` at an
     interior node."""
     if len(delta_in) == 1:
-        return {e: mu * d for e, d in delta_in.items()}
+        ((e, d),) = delta_in.items()
+        return {e: mu * d}
     return diff_junction_outflow(delta_in, diameters, mu)
 
 
@@ -128,6 +129,7 @@ def step_coupled(
     `observer_node_update`).
     """
     cfg, s, r = cs.config, cs.s_state, cs.r_state
+    s_grids, r_grids, t = s.grids, r.grids, s.t
     s_out: Dict[NodeId, Dict[PipeId, float]] = {}
     r_out: Dict[NodeId, Dict[PipeId, float]] = {}
     traces: Optional[Dict[NodeId, NodalTrace]] = {} if collect_nodal else None
@@ -136,7 +138,7 @@ def step_coupled(
         # runs per node and step.
         s_in, d_in = {}, {}
         for e, at_to in reads:
-            x, y = end_cell(s.grids[e], at_to), end_cell(r.grids[e], at_to)
+            x, y = end_cell(s_grids[e], at_to), end_cell(r_grids[e], at_to)
             s_in[e], d_in[e] = x, y - x
         if mu is None:
             raise ConfigurationError(f"no gain mu for node {v!r}")
@@ -147,7 +149,7 @@ def step_coupled(
         else:
             # e, y: the one pipe and the observer's R_in.  The observer keeps
             # the truth map's boundary form; S_out + mu delta rounds differently.
-            u = control(s.t)
+            u = control(t)
             s_out[v] = junction_outflow(s_in, diam, (mu, u))
             r_out[v] = {e: boundary_outflow(mu, u, y)}
         if traces is not None:
