@@ -1,0 +1,162 @@
+#!/usr/bin/env python3
+"""A/B benchmark: perfbench/run.py on a parent revision and on the working tree.
+
+    python3 scripts/ab_bench.py PARENT_REV [--pairs N] [--workload W] [--seed S]
+
+Both sides are extracted with `git archive` into `.ab_bench/parent/` and
+`.ab_bench/change/` at the repository root: the parent from PARENT_REV, the
+change from the working tree as `git add -A` would stage it (the tree is
+written through a temporary index, so the real index is left alone).  Each
+of the N pairs runs `python3 perfbench/run.py --workload W --seed S` once
+per side, one run at a time; odd pairs run the parent first, even pairs the
+change.  A run's value of a metric is run.py's median over its repetitions.
+
+For every end-to-end metric that the parent's BENCHMARK.json names, the
+script prints each side's median and quartiles over the runs, the change's
+relative shift and its wins (pairs where the change reads better, ties
+counting for neither), and whether the medians differ by more than the
+distance between the parent's quartiles.  The same numbers, each run's
+result line and its seed-0 identity and PROBLEM lines go to
+`.ab_bench/ab_<W>_seed<S>.json`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Dict, List
+
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / ".ab_bench"
+RUN_LIMIT_S = 200.0  # per workload; run.py ends each workload within 180 s
+
+
+def git(*args: str, env: Dict[str, str] | None = None) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def working_tree() -> str:
+    """Tree id of the working tree as `git add -A` would stage it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        git("add", "-A", env=env)
+        return git("write-tree", env=env)
+
+
+def extract(tree: str, dest: Path) -> None:
+    shutil.rmtree(dest, ignore_errors=True)
+    dest.mkdir(parents=True)
+    archive = subprocess.Popen(["git", "archive", tree], cwd=ROOT, stdout=subprocess.PIPE)
+    untar = subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout)
+    archive.stdout.close()
+    if archive.wait() or untar.returncode:
+        raise SystemExit(f"error: could not extract {tree} into {dest}")
+
+
+def run_once(checkout: Path, workload: str, seed: int, n_workloads: int) -> dict:
+    """One perfbench run: its last-line JSON plus the identity and PROBLEM lines."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
+        cwd=checkout, capture_output=True, text=True, timeout=RUN_LIMIT_S * n_workloads)
+    lines = proc.stdout.splitlines()
+    if proc.returncode or not lines:
+        raise SystemExit(f"error: perfbench in {checkout} exited {proc.returncode}:\n"
+                         f"{proc.stderr[-2000:]}")
+    result = json.loads(lines[-1])
+    if workload != "all":  # run.py names a single workload's metrics without its prefix
+        result["metrics"] = {f"{workload}.{k}": v for k, v in result["metrics"].items()}
+    result["identity_lines"] = [ln for ln in lines if "byte-identical" in ln]
+    result["problem_lines"] = [ln for ln in lines if "PROBLEM" in ln]
+    return result
+
+
+def spread(values: List[float]) -> Dict[str, float]:
+    q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1
+                 else values * 3)
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def summarise(runs: Dict[str, List[dict]], end_to_end: List[dict]) -> Dict[str, dict]:
+    better = {m["name"]: m["better"] for m in end_to_end}
+    summary = {}
+    for name in runs["parent"][0]["metrics"]:
+        kind = name.rsplit(".", 1)[-1]
+        if kind not in better:
+            continue
+        p = [r["metrics"][name]["value"] for r in runs["parent"]]
+        c = [r["metrics"][name]["value"] for r in runs["change"]]
+        sign = -1.0 if better[kind] == "lower" else 1.0
+        gains = [sign * (y - x) for x, y in zip(p, c)]
+        ps, cs = spread(p), spread(c)
+        summary[name] = {
+            "unit": runs["parent"][0]["metrics"][name]["unit"], "better": better[kind],
+            "parent": ps, "change": cs,
+            "shift": cs["median"] / ps["median"] - 1.0,
+            "wins": sum(g > 0 for g in gains), "ties": sum(g == 0 for g in gains),
+            "pairs": len(gains),
+            "beyond_parent_iqr": abs(cs["median"] - ps["median"]) > ps["iqr"],
+        }
+    return summary
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_rev", metavar="PARENT_REV")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--workload", default="all")
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    parent = git("rev-parse", "--verify", f"{args.parent_rev}^{{commit}}")
+    trees = {"parent": parent, "change": working_tree()}
+    checkouts = {side: OUT / side for side in trees}
+    for side, tree in trees.items():
+        extract(tree, checkouts[side])
+    bench_same = git("rev-parse", f"{parent}:perfbench") == git(
+        "rev-parse", f"{trees['change']}:perfbench")
+    if not bench_same:
+        print("warning: perfbench/ differs between the sides; each runs its own", flush=True)
+    bench = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
+    n_workloads = len(bench["workloads"]) if args.workload == "all" else 1
+
+    runs: Dict[str, List[dict]] = {"parent": [], "change": []}
+    order = []
+    for i in range(args.pairs):
+        sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        order.append(list(sides))
+        for side in sides:
+            result = run_once(checkouts[side], args.workload, args.seed, n_workloads)
+            runs[side].append(result)
+            print(f"pair {i + 1}/{args.pairs} {side}: correct={result['correct']} "
+                  f"failed={result['failed']} of {result['attempted']}", flush=True)
+
+    summary = summarise(runs, bench["end_to_end"])
+    for name, s in summary.items():
+        p, c = s["parent"], s["change"]
+        print(f"{name} [{s['unit']}, {s['better']} is better]: "
+              f"parent {p['median']:.6g} (q1 {p['q1']:.6g}, q3 {p['q3']:.6g})  "
+              f"change {c['median']:.6g} (q1 {c['q1']:.6g}, q3 {c['q3']:.6g})  "
+              f"shift {100 * s['shift']:+.1f}%  wins {s['wins']}/{s['pairs']} "
+              f"(ties {s['ties']})  beyond parent IQR: {s['beyond_parent_iqr']}")
+    record = {"parent_rev": args.parent_rev, "parent_commit": parent,
+              "change_tree": trees["change"], "workload": args.workload, "seed": args.seed,
+              "pairs": args.pairs, "order": order, "benchmark_identical": bench_same,
+              "summary": summary, "runs": runs}
+    path = OUT / f"ab_{args.workload}_seed{args.seed}.json"
+    path.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"written: {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

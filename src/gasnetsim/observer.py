@@ -14,7 +14,8 @@ from typing import Dict, Mapping, Optional, Tuple
 from .errors import ConfigurationError, ValidationError
 from .network import (NetworkGraph, NodeId, PipeId, PipeSpec, boundary_outflow, check_gain,
                       end_cell, junction_outflow, omega_v)
-from .solver import Control, EdgeGrid, SimState, friction_root_shifted, step_system, transport
+from .solver import (Control, EdgeGrid, SimState, friction_root_shifted, recombine, step_system,
+                     transport)
 
 
 @dataclass
@@ -192,10 +193,9 @@ def direct_diff_step(
 
     def shifted_friction(p: PipeSpec, g: EdgeGrid):
         sg = s_new.grids[p.id]
-        a = 2.0 * d_state.dt * p.nu
-        ssum = g.r_plus + g.r_minus
-        d = friction_root_shifted(g.r_plus - g.r_minus, sg.r_plus - sg.r_minus, a)
-        return (ssum + d) / 2.0, (ssum - d) / 2.0
+        frozen = sg.r_plus - sg.r_minus  # spent after the root: recombine's work array
+        d = friction_root_shifted(g.r_plus - g.r_minus, frozen, 2.0 * d_state.dt * p.nu)
+        return recombine(g.r_plus + g.r_minus, d, frozen)
 
     return transport(d_state, graph, outs, shifted_friction)
 

@@ -134,6 +134,18 @@ def advect_step(grid: EdgeGrid, inflow_plus: float, inflow_minus: float) -> Edge
     return EdgeGrid(grid.pipe, grid.n_cells, grid.dx, lam, new_p, new_m, grid.length_perturbation)
 
 
+def _root_in_place(d: np.ndarray, a: float) -> np.ndarray:
+    """Overwrite d_star in d (owned by the caller) by its `friction_root`; return the work array."""
+    w = np.abs(d, out=...)
+    w *= 4.0 * a
+    w += 1.0
+    np.sqrt(w, w)
+    w += 1.0
+    d *= 2.0
+    d /= w
+    return w
+
+
 def friction_root(d_star: ArrayLike, a: float) -> ArrayLike:
     """Root of d + a |d| d = d_star for a >= 0, in a cancellation-free form.
 
@@ -142,7 +154,9 @@ def friction_root(d_star: ArrayLike, a: float) -> ArrayLike:
     exact and the division is sign-symmetric, so this equals
     sign(d_star) * 2 |d_star| / (...) bit for bit, signed zeros included.
     """
-    return 2.0 * d_star / (1.0 + np.sqrt(1.0 + 4.0 * a * np.abs(d_star)))
+    d = np.array(d_star, dtype=float)
+    _root_in_place(d, a)
+    return d if d.ndim else d[()]
 
 
 def friction_root_shifted(d_star: ArrayLike, d_frozen: ArrayLike, a: float) -> ArrayLike:
@@ -155,22 +169,31 @@ def friction_root_shifted(d_star: ArrayLike, d_frozen: ArrayLike, a: float) -> A
     return friction_root(rhs, a) - d_frozen
 
 
+def recombine(s: np.ndarray, d: np.ndarray, work: np.ndarray) -> Tuple[ArrayLike, ArrayLike]:
+    """((s + d) / 2, (s - d) / 2) into `work` and over `s`; x * 0.5 has the bits of x / 2."""
+    np.add(s, d, work)
+    work *= 0.5
+    s -= d
+    s *= 0.5
+    return (work, s) if s.ndim else (work[()], s[()])  # scalars in, scalars out
+
+
 def friction_step(r_plus, r_minus, nu: float, dt: float):
     """Implicit Euler step of the friction source on (R+, R-).
 
     Preserves the sum R+ + R- and contracts the difference.  Works on
-    scalars and on whole cell arrays.
+    scalars (as 0-d arrays) and on whole cell arrays, in three new arrays.
     """
-    if nu < 0:
+    if not nu >= 0:
         raise ValidationError("friction_step needs nu >= 0")
     if not dt > 0:
         raise ValidationError("friction_step needs dt > 0")
     a = 2.0 * dt * nu
     if a == 0.0:
         return r_plus, r_minus
-    s = np.asarray(r_plus) + np.asarray(r_minus)
-    d = friction_root(np.asarray(r_plus) - np.asarray(r_minus), a)
-    return (s + d) / 2.0, (s - d) / 2.0
+    s = np.add(r_plus, r_minus, out=...)
+    d = np.subtract(r_plus, r_minus, out=...)
+    return recombine(s, d, _root_in_place(d, a))
 
 
 def pack(grids: Mapping[PipeId, EdgeGrid], graph: NetworkGraph) -> Tuple[np.ndarray, np.ndarray]:

@@ -425,9 +425,9 @@ def coupled_steps(draw):
     return graph, CoupledState(*states, ObserverConfig(mu=mu, controls=controls))
 
 
-@given(coupled_steps())
-def test_coupled_step_equals_per_node_references(case):
-    graph, cs = case
+def assert_coupled_step_equals_per_node_references(graph, cs):
+    """One `step_coupled` against per-node maps and per-pipe `advect_step` +
+    `friction_step`, bit for bit."""
     mu, controls, t, dt = cs.config.mu, cs.config.controls, cs.t, cs.s_state.dt
     nxt, traces = step_coupled(cs, graph, collect_nodal=True)
 
@@ -462,3 +462,29 @@ def test_coupled_step_equals_per_node_references(case):
     assert list(traces) == list(graph.nodes)
     for v, tr in traces.items():
         assert (tr.mu, tr.delta_in, tr.delta_out) == (mu[v], d_in[v], d_out[v])
+
+
+@given(coupled_steps())
+def test_coupled_step_equals_per_node_references(case):
+    assert_coupled_step_equals_per_node_references(*case)
+
+
+def test_cfl_safe_coupled_step_with_friction_copies_at_unit_cfl():
+    # c dt = 127.5 m: p0's 510 m is exactly four cells at cfl = 1, so it takes
+    # advect_step's copy branch; p1's 700 m is five cells at cfl = 127.5/140.
+    graph = NetworkGraph([PipeSpec("p0", "n0", "n1", 510.0, 0.6, 0.0137),
+                          PipeSpec("p1", "n1", "n2", 700.0, 0.5, 0.0137)])
+    dt = 0.375
+    rng = np.random.default_rng(16)
+    states = []
+    for _ in range(2):
+        grids = build_grids(graph, 340.0, dt, mode="cfl-safe")
+        for g in grids.values():
+            g.r_plus[:] = rng.normal(1300.0, 50.0, g.n_cells)
+            g.r_minus[:] = rng.normal(1300.0, 50.0, g.n_cells)
+        states.append(SimState(grids=grids, dt=dt, step_index=3))
+    assert [(g.n_cells, g.cfl) for g in grids.values()] == [(4, 1.0), (5, 127.5 / 140.0)]
+    controls = {"n0": lambda t: 1310.0 + t, "n2": lambda t: 1290.0 - t}
+    cs = CoupledState(*states, ObserverConfig(mu={"n0": 0.3, "n1": 0.5, "n2": -0.4},
+                                              controls=controls))
+    assert_coupled_step_equals_per_node_references(graph, cs)

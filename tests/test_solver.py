@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gasnetsim.diagnostics import lyapunov_l0
 from gasnetsim.errors import ConfigurationError, ScheduleError, ValidationError
@@ -15,6 +17,7 @@ from gasnetsim.solver import (
     advect_step,
     build_grids,
     friction_root,
+    friction_root_shifted,
     friction_step,
     step_system,
 )
@@ -214,6 +217,82 @@ def test_friction_root_equals_copysign_form(d_star, a):
             assert math.isnan(d)
         else:
             assert d == ref and np.signbit(d) == np.signbit(ref)
+
+
+def allocating_friction_root(d_star, a):
+    """The root as first written, one new array per operation: the reference
+    that the in-place kernel must match bit for bit."""
+    return 2.0 * d_star / (1.0 + np.sqrt(1.0 + 4.0 * a * np.abs(d_star)))
+
+
+def allocating_friction_root_shifted(d_star, d_frozen, a):
+    rhs = d_star + d_frozen + a * np.abs(d_frozen) * d_frozen
+    return allocating_friction_root(rhs, a) - d_frozen
+
+
+def allocating_friction_step(r_plus, r_minus, nu, dt):
+    a = 2.0 * dt * nu
+    s = np.asarray(r_plus) + np.asarray(r_minus)
+    d = allocating_friction_root(np.asarray(r_plus) - np.asarray(r_minus), a)
+    return (s + d) / 2.0, (s - d) / 2.0
+
+
+FRICTION_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310,
+                     1e308, -1e308, math.inf, -math.inf, math.nan]
+cell_values = st.one_of(st.sampled_from(FRICTION_SPECIALS), st.floats())
+
+
+@st.composite
+def friction_operands(draw):
+    """Two operands of one kind: Python floats, 0-d arrays or 1-800 cells."""
+    kind = draw(st.sampled_from(["float", "0-d", "cells"]))
+    if kind == "cells":
+        n = draw(st.integers(1, 800))
+        return [draw(arrays(np.float64, n, elements=cell_values)) for _ in range(2)]
+    pair = [draw(cell_values) for _ in range(2)]
+    return [np.array(x) for x in pair] if kind == "0-d" else pair
+
+
+def assert_same_bits(got, ref):
+    """Equal type, shape, values and signs; a NaN only has to stay a NaN."""
+    assert type(got) is type(ref)
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan], ref[~nan])
+    assert np.array_equal(np.signbit(got[~nan]), np.signbit(ref[~nan]))
+
+
+@given(friction_operands(), st.floats(1e-12, 1e3))
+def test_in_place_friction_has_the_bits_and_warnings_of_the_allocating_form(pair, a):
+    x, y = pair
+    kept = [np.array(v) for v in pair]
+    results = []
+    for root, shifted, step in (
+        (allocating_friction_root, allocating_friction_root_shifted, allocating_friction_step),
+        (friction_root, friction_root_shifted, friction_step),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            # dt = 0.5 makes a = 2 dt nu equal nu exactly
+            out = [root(x, a), shifted(x, y, a), *step(x, y, a, 0.5)]
+        # numpy names an operation on numpy scalars "scalar add"; the kernel
+        # works on arrays, so only the operation and the category must agree
+        out.append({(w.category, str(w.message).replace("scalar ", "")) for w in caught})
+        results.append(out)
+        for before, now in zip(kept, pair):
+            assert_same_bits(np.asarray(now), before)
+    (*ref, ref_warnings), (*got, got_warnings) = results
+    for g, r in zip(got, ref):
+        assert_same_bits(g, r)
+    assert got_warnings == ref_warnings
+
+
+@pytest.mark.parametrize("nu, dt", [(-1.0, 1.0), (math.nan, 1.0), (1.0, 0.0), (1.0, math.nan)])
+def test_friction_step_rejects_a_bad_coefficient_or_step(nu, dt):
+    with pytest.raises(ValidationError):
+        friction_step(1.0, 0.0, nu, dt)
 
 
 # ---------------------------------------------------------------------------
