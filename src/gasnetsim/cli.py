@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -23,6 +22,7 @@ from . import run
 from .fileio import BAR, ScenarioSpec, parse_network_file, parse_scenario_file
 from .network import NetworkGraph
 from .run import RunResult, run_observer_pair, run_truth
+from .solver import Layout
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -33,10 +33,12 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _rows(pid: str, *columns: np.ndarray):
-    """CSV lines `pid,c0,c1,...` of equally long float columns, one per cell."""
-    cells = zip(*[c.tolist() for c in columns])
-    return (",".join([pid, *map(repr, vals)]) + "\n" for vals in cells)
+def _rows(layout: Layout, *columns: np.ndarray):
+    """CSV lines `pipe,x,c0,c1,...` of float columns packed by `layout`, one
+    per cell, pipe by pipe."""
+    for pid, cells in zip(layout.pipes, layout.spans):
+        rows = zip(*[c[cells].tolist() for c in (layout.x, *columns)])
+        yield from (",".join([pid, *map(repr, vals)]) + "\n" for vals in rows)
 
 
 def _parse_times(text: str, option: str) -> List[float]:
@@ -70,8 +72,7 @@ def _write_series_csv(path: Path, header: str, rows) -> None:
 def _write_snapshots(out_dir: Path, snapshots: Sequence[SnapshotFrame], cols=("delta_plus", "delta_minus")) -> None:
     for frame in snapshots:
         _write(out_dir / "snapshots" / snapshot_file_name(frame.t), f"pipe,x,{cols[0]},{cols[1]}",
-               chain.from_iterable(_rows(pid, xs, frame.delta_plus[pid], frame.delta_minus[pid])
-                                   for pid, xs in frame.x.items()))
+               _rows(frame.layout, frame.plus, frame.minus))
 
 
 def parse_fit_window(text: str, t_end: float) -> Tuple[float, float]:
@@ -129,15 +130,13 @@ def _cmd_observe(args, graph: NetworkGraph, scenario: ScenarioSpec) -> int:
 
 def _cmd_simulate(args, graph: NetworkGraph, scenario: ScenarioSpec) -> int:
     snap_times = _parse_times(args.snapshots, "--snapshots")
-    state, snapshots = run_truth(graph, scenario, snapshot_times=snap_times)
+    final, snapshots = run_truth(graph, scenario, snapshot_times=snap_times)
     law = scenario.law
     # Every pressure first: a midpoint outside the law's range then writes nothing.
-    p_bars = [law.pressure(law.rtilde_inverse((g.r_plus + g.r_minus) / 2.0)) / BAR
-              for g in state.grids.values()]
+    p_bar = law.pressure(law.rtilde_inverse((final.plus + final.minus) / 2.0)) / BAR
     out = Path(args.out)
-    _write(out / "state.csv", "pipe,x,r_plus,r_minus,pressure_bar,velocity", chain.from_iterable(
-        _rows(pid, g.cell_centers(), g.r_plus, g.r_minus, p_bar, (g.r_plus - g.r_minus) / 2.0)
-        for (pid, g), p_bar in zip(state.grids.items(), p_bars)))
+    _write(out / "state.csv", "pipe,x,r_plus,r_minus,pressure_bar,velocity",
+           _rows(final.layout, final.plus, final.minus, p_bar, (final.plus - final.minus) / 2.0))
     _write_snapshots(out, snapshots, cols=("r_plus", "r_minus"))
     return EXIT_OK
 

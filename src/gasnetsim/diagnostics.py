@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
 from .errors import ValidationError
 from .network import NetworkGraph, PipeId
-from .solver import EdgeGrid, SimState, pack
+from .solver import EdgeGrid, Layout, SimState
 
 
 @dataclass
@@ -42,26 +42,16 @@ class LyapunovSeries:
 
 @dataclass
 class SnapshotFrame:
-    """Cellwise error invariants on every pipe at one time."""
+    """Packed invariants (the observer error, or the truth) at one time."""
 
     t: float
-    x: Dict[PipeId, np.ndarray]
-    delta_plus: Dict[PipeId, np.ndarray]
-    delta_minus: Dict[PipeId, np.ndarray]
-
-    def __post_init__(self) -> None:
-        for pid in self.x:
-            if not (len(self.x[pid]) == len(self.delta_plus[pid]) == len(self.delta_minus[pid])):
-                raise ValidationError(f"snapshot arrays for {pid!r} length mismatch")
+    layout: Layout
+    plus: np.ndarray
+    minus: np.ndarray
 
     @classmethod
-    def from_state(cls, delta: SimState) -> "SnapshotFrame":
-        return cls(
-            t=delta.t,
-            x={pid: g.cell_centers() for pid, g in delta.grids.items()},
-            delta_plus={pid: g.r_plus.copy() for pid, g in delta.grids.items()},
-            delta_minus={pid: g.r_minus.copy() for pid, g in delta.grids.items()},
-        )
+    def from_state(cls, state: SimState, layout: Layout) -> "SnapshotFrame":
+        return cls(state.t, layout, *layout.pack(state.grids))
 
 
 def snapshot_file_name(t: float) -> str:
@@ -69,26 +59,13 @@ def snapshot_file_name(t: float) -> str:
     return f"t_{t:g}.csv"
 
 
-def quadrature_weights(grids: Mapping[PipeId, EdgeGrid],
-                       graph: NetworkGraph) -> List[Tuple[slice, float]]:
-    """Each pipe's cells in fields packed by `solver.pack` and its weight
-    (D^2/2) * dx: the per-run constants of `quadrature`."""
-    spans, start = [], 0
-    for p in graph.pipes:
-        g = grids[p.id]
-        spans.append((slice(start, start + g.n_cells), 0.5 * p.diameter ** 2 * g.dx))
-        start += g.n_cells
-    return spans
-
-
-def quadrature(plus: np.ndarray, minus: np.ndarray,
-               weights: Sequence[Tuple[slice, float]]) -> float:
+def quadrature(plus: np.ndarray, minus: np.ndarray, layout: Layout) -> float:
     """Sum over pipes of (D^2/2) * dx * sum(plus^2 + minus^2) on that pipe's
-    cells, midpoint rule, with `quadrature_weights`.  One dot per pipe and
-    field, summed in pipe order, so the value does not depend on the
+    cells, midpoint rule, over fields packed by `layout`.  One dot per pipe
+    and field, summed in pipe order, so the value does not depend on the
     packing."""
     total = 0.0
-    for cells, w in weights:
+    for cells, w in zip(layout.spans, layout.weights):
         a, b = plus[cells], minus[cells]
         total += w * float(np.dot(a, a) + np.dot(b, b))
     return total
@@ -96,7 +73,8 @@ def quadrature(plus: np.ndarray, minus: np.ndarray,
 
 def lyapunov_l0(delta_grids: Mapping[PipeId, EdgeGrid], graph: NetworkGraph) -> float:
     """Network error functional: the `quadrature` of (delta_plus, delta_minus)."""
-    return quadrature(*pack(delta_grids, graph), quadrature_weights(delta_grids, graph))
+    layout = Layout.of(delta_grids, graph)
+    return quadrature(*layout.pack(delta_grids), layout)
 
 
 def lyapunov_l1(prev_grids: Mapping[PipeId, EdgeGrid], next_grids: Mapping[PipeId, EdgeGrid],
@@ -110,9 +88,10 @@ def lyapunov_l1(prev_grids: Mapping[PipeId, EdgeGrid], next_grids: Mapping[PipeI
         raise ValidationError("lyapunov_l1 needs two consecutive frames")
     if not dt > 0:
         raise ValidationError("lyapunov_l1 needs dt > 0")
-    p0, m0 = pack(prev_grids, graph)
-    p1, m1 = pack(next_grids, graph)
-    return quadrature((p1 - p0) / dt, (m1 - m0) / dt, quadrature_weights(prev_grids, graph))
+    layout = Layout.of(prev_grids, graph)
+    p0, m0 = layout.pack(prev_grids)
+    p1, m1 = layout.pack(next_grids)
+    return quadrature((p1 - p0) / dt, (m1 - m0) / dt, layout)
 
 
 def nodal_energy_residual(delta_in: Mapping[PipeId, float], delta_out: Mapping[PipeId, float],
@@ -176,7 +155,7 @@ class RegularityTracker:
         self._prev: Optional[np.ndarray] = None
 
     def observe(self, s_diff: np.ndarray, r_diff: np.ndarray) -> None:
-        """Take S+ - S- and R+ - R- of one step, each packed by `solver.pack`."""
+        """Take S+ - S- and R+ - R- of one step, each packed by `Layout.pack`."""
         self.m_tilde = max(self.m_tilde, float(np.abs(s_diff).max()), float(np.abs(r_diff).max()))
         if self._prev is not None:
             # max(x)/dt == max(x/dt): one division per step

@@ -10,13 +10,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .diagnostics import (LyapunovSeries, RegularityTracker, SnapshotFrame, nodal_energy_residual,
-                          quadrature, quadrature_weights, snapshot_file_name)
+                          quadrature, snapshot_file_name)
 from .errors import NumericalError, ValidationError
 from .fileio import BAR, ScenarioSpec, make_boundary_control
 from .network import NetworkGraph, NodeId
-from .observer import (CoupledState, ObserverConfig, SimState, difference_state, step_coupled,
-                       step_system)
-from .solver import build_grids, pack
+from .observer import CoupledState, ObserverConfig, SimState, step_coupled, step_system
+from .solver import Layout, build_grids
 
 
 @dataclass
@@ -30,7 +29,7 @@ class Assembled:
     config: ObserverConfig
     s_state: SimState
     r_state: SimState
-    weights: List[Tuple[slice, float]]  # of the L0 quadrature, one finite weight per pipe
+    layout: Layout  # of both states, with one finite L0 weight per pipe
 
 
 def default_dt(graph: NetworkGraph, c: float) -> float:
@@ -71,12 +70,12 @@ def assemble(graph: NetworkGraph, scenario: ScenarioSpec) -> Assembled:
     config = ObserverConfig(mu=mu, controls=controls)
     s_state = _initial_state(eff_graph, scenario, dt, "S")
     r_state = _initial_state(eff_graph, scenario, dt, "R")
-    weights = quadrature_weights(s_state.grids, eff_graph)
-    for p, (_, w) in zip(eff_graph.pipes, weights):
+    layout = Layout.of(s_state.grids, eff_graph)
+    for p, w in zip(eff_graph.pipes, layout.weights):
         if not math.isfinite(w):
             raise ValidationError(f"pipe {p.id!r}: diameter {p.diameter!r} m gives an L0 "
                                   f"weight of {w!r}")
-    return Assembled(eff_graph, dt, n_steps, mu, config, s_state, r_state, weights)
+    return Assembled(eff_graph, dt, n_steps, mu, config, s_state, r_state, layout)
 
 
 def _initial_state(graph: NetworkGraph, scenario: ScenarioSpec, dt: float, which: str) -> SimState:
@@ -158,9 +157,8 @@ def run_observer_pair(
     l1 = np.empty(n) if record_l1 else None
     residuals: List[Tuple[float, NodeId, float]] = []
     snapshots: List[SnapshotFrame] = []
-    net, dt = asm.graph, asm.dt
+    net, dt, layout = asm.graph, asm.dt, asm.layout
     tracker = RegularityTracker(dt)
-    weights = asm.weights
     prev_dp = prev_dm = None
     for k in range(n + 1):
         if k > 0:
@@ -170,20 +168,19 @@ def run_observer_pair(
                 res = nodal_energy_residual(tr.delta_in, tr.delta_out, tr.mu, net.diameters_at(v))
                 residuals.append(((k - 1) * dt, v, res))
         # Both systems packed once per step; every diagnostic reads these arrays.
-        grids = cs.s_state.grids
-        sp, sm = pack(grids, net)
-        rp, rm = pack(cs.r_state.grids, net)
+        sp, sm = layout.pack(cs.s_state.grids)
+        rp, rm = layout.pack(cs.r_state.grids)
         dp, dm = rp - sp, rm - sm
         times[k] = cs.t
-        l0[k] = quadrature(dp, dm, weights)
+        l0[k] = quadrature(dp, dm, layout)
         if not math.isfinite(l0[k]):
             raise NumericalError(f"simulation blew up: L0 is not finite at t={cs.t}")
         if l1 is not None and k > 0:
-            l1[k - 1] = quadrature((dp - prev_dp) / dt, (dm - prev_dm) / dt, weights)
+            l1[k - 1] = quadrature((dp - prev_dp) / dt, (dm - prev_dm) / dt, layout)
         prev_dp, prev_dm = dp, dm
         tracker.observe(sp - sm, rp - rm)
         if k in snap_steps:
-            snapshots.append(SnapshotFrame.from_state(difference_state(cs.r_state, cs.s_state)))
+            snapshots.append(SnapshotFrame(cs.t, layout, dp, dm))
 
     series = LyapunovSeries(times=times, l0=l0, l1=l1)
     return RunResult(
@@ -200,18 +197,17 @@ def run_truth(
     graph: NetworkGraph,
     scenario: ScenarioSpec,
     snapshot_times: Sequence[float] = (),
-) -> Tuple[SimState, List[SnapshotFrame]]:
-    """Advance the truth system alone; returns final state and snapshots."""
+) -> Tuple[SnapshotFrame, List[SnapshotFrame]]:
+    """Advance the truth system alone; returns the final frame and the snapshots."""
     asm = assemble(graph, scenario)
     state = asm.s_state
     snap_steps = _snapshot_steps(snapshot_times, asm.dt, asm.n_steps)
     snapshots: List[SnapshotFrame] = []
-    if 0 in snap_steps:
-        snapshots.append(SnapshotFrame.from_state(state))
-    for k in range(1, asm.n_steps + 1):
-        state = step_system(state, asm.graph, asm.config.controls, asm.mu)
+    for k in range(asm.n_steps + 1):
+        if k > 0:
+            state = step_system(state, asm.graph, asm.config.controls, asm.mu)
         if k in snap_steps:
             _check_state_finite(state)
-            snapshots.append(SnapshotFrame.from_state(state))
+            snapshots.append(SnapshotFrame.from_state(state, asm.layout))
     _check_state_finite(state)
-    return state, snapshots
+    return SnapshotFrame.from_state(state, asm.layout), snapshots

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -196,11 +197,34 @@ def friction_step(r_plus, r_minus, nu: float, dt: float):
     return recombine(s, d, _root_in_place(d, a))
 
 
-def pack(grids: Mapping[PipeId, EdgeGrid], graph: NetworkGraph) -> Tuple[np.ndarray, np.ndarray]:
-    """R+ and R- of every pipe, each concatenated in `graph.pipes` order: the
-    one place that fixes the order of the packed diagnostics."""
-    gs = [grids[p.id] for p in graph.pipes]
-    return np.concatenate([g.r_plus for g in gs]), np.concatenate([g.r_minus for g in gs])
+@dataclass(frozen=True, eq=False)
+class Layout:
+    """Where every pipe's cells sit in the packed R+ and R- arrays, built once
+    per run from the grids: the one place that fixes the packed order.
+
+    Pipes follow `graph.pipes`; `spans[i]` holds pipe `pipes[i]`'s cells,
+    `weights[i]` is its L0 weight (D^2/2) * dx and `x` the packed cell centres.
+    """
+
+    pipes: Tuple[PipeId, ...]
+    spans: Tuple[slice, ...]
+    weights: Tuple[float, ...]
+    x: np.ndarray
+
+    @classmethod
+    def of(cls, grids: Mapping[PipeId, EdgeGrid], graph: NetworkGraph) -> "Layout":
+        gs = [grids[p.id] for p in graph.pipes]
+        stops = accumulate(g.n_cells for g in gs)
+        x = np.concatenate([g.cell_centers() for g in gs])
+        x.flags.writeable = False
+        return cls(tuple(p.id for p in graph.pipes),
+                   tuple(slice(stop - g.n_cells, stop) for g, stop in zip(gs, stops)),
+                   tuple(0.5 * p.diameter ** 2 * g.dx for p, g in zip(graph.pipes, gs)), x)
+
+    def pack(self, grids: Mapping[PipeId, EdgeGrid]) -> Tuple[np.ndarray, np.ndarray]:
+        """R+ and R- of every pipe, each concatenated in layout order."""
+        gs = [grids[pid] for pid in self.pipes]
+        return np.concatenate([g.r_plus for g in gs]), np.concatenate([g.r_minus for g in gs])
 
 
 def transport(

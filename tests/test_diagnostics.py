@@ -18,7 +18,7 @@ from gasnetsim.fileio import InitialCondition, ScenarioSpec
 from gasnetsim.network import NetworkGraph, PipeSpec
 from gasnetsim.observer import CoupledState, difference_state, step_coupled
 from gasnetsim.run import assemble, run_observer_pair
-from gasnetsim.solver import EdgeGrid, SimState, build_grids, pack
+from gasnetsim.solver import EdgeGrid, Layout, SimState, build_grids
 
 
 def unit_pipe_grid(n=8, length=2.0, fill_plus=0.0, fill_minus=0.0):
@@ -164,7 +164,7 @@ def test_regularity_bounds_rest_state(five_pipe):
     grids = build_grids(five_pipe, 340.0, 0.5)
     for g in grids.values():
         g.r_plus[:] = g.r_minus[:] = 1342.0
-    plus, minus = pack(grids, five_pipe)
+    plus, minus = Layout.of(grids, five_pipe).pack(grids)
     tracker = RegularityTracker(0.5)
     tracker.observe(plus - minus, plus - minus)
     tracker.observe(plus - minus, plus - minus)
@@ -174,7 +174,7 @@ def test_regularity_bounds_rest_state(five_pipe):
 
 def test_regularity_bounds_constant_difference():
     net, grids = unit_pipe_grid(fill_plus=2.0, fill_minus=-1.0)  # |S+ - S-| = 3
-    plus, minus = pack(grids, net)
+    plus, minus = Layout.of(grids, net).pack(grids)
     tracker = RegularityTracker(0.5)
     for _ in range(3):
         tracker.observe(plus - minus, np.zeros_like(plus))
@@ -236,8 +236,9 @@ def test_packed_diagnostics_equal_per_pipe_loops(cells, n_frames, dt, seed):
     s_frames = [frame(k) for k in range(n_frames)]
     r_frames = [frame(k) for k in range(n_frames)]
     tracker = RegularityTracker(dt)
+    layout = Layout.of(s_frames[0].grids, graph)
     for s_state, r_state in zip(s_frames, r_frames):
-        (sp, sm), (rp, rm) = pack(s_state.grids, graph), pack(r_state.grids, graph)
+        (sp, sm), (rp, rm) = layout.pack(s_state.grids), layout.pack(r_state.grids)
         tracker.observe(sp - sm, rp - rm)
     assert (tracker.m_tilde, tracker.b_tilde) == _per_pipe_regularity(s_frames, r_frames)
     for prev, nxt in zip(s_frames, s_frames[1:]):
@@ -322,19 +323,20 @@ def test_observer_record_equals_per_pipe_references(run):
     assert (result.m_tilde, result.b_tilde) == _per_pipe_regularity(s_frames, r_frames)
     assert len(result.snapshots) == len(snap_steps)
     for frame, k in zip(result.snapshots, sorted(snap_steps)):
-        ref = SnapshotFrame.from_state(deltas[k])
-        assert frame.t == ref.t
-        for name in ("x", "delta_plus", "delta_minus"):
-            got, want = getattr(frame, name), getattr(ref, name)
-            assert list(got) == list(want)
-            assert all(np.array_equal(got[pid], want[pid]) for pid in want)
+        grids = deltas[k].grids
+        assert frame.t == deltas[k].t
+        assert frame.layout.pipes == tuple(grids)
+        gs = list(grids.values())
+        assert np.array_equal(frame.layout.x, np.concatenate([g.cell_centers() for g in gs]))
+        assert np.array_equal(frame.plus, np.concatenate([g.r_plus for g in gs]))
+        assert np.array_equal(frame.minus, np.concatenate([g.r_minus for g in gs]))
 
 
 def test_snapshot_frame_from_state(single_pipe):
     grids = build_grids(single_pipe, 340.0, 0.375)
     grids["p"].r_plus[:] = 1.5
     state = SimState(grids=grids, dt=0.375, step_index=4)
-    frame = SnapshotFrame.from_state(state)
+    frame = SnapshotFrame.from_state(state, Layout.of(grids, single_pipe))
     assert frame.t == pytest.approx(1.5)
-    assert frame.x["p"][0] == pytest.approx(grids["p"].dx / 2.0)
-    assert np.all(frame.delta_plus["p"] == 1.5)
+    assert frame.layout.x[0] == pytest.approx(grids["p"].dx / 2.0)
+    assert np.all(frame.plus == 1.5)

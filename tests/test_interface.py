@@ -752,10 +752,15 @@ def _simulate_with_state(tmp_path, monkeypatch, law_line, fields):
     """Run `simulate` with run_truth replaced by a state whose pipes carry
     `fields` = {pipe: (r_plus, r_minus)}; returns the exit code and out dir."""
     import gasnetsim.cli as cli_mod
-    from gasnetsim.solver import EdgeGrid, SimState
+    from gasnetsim.diagnostics import SnapshotFrame
+    from gasnetsim.network import NetworkGraph, PipeSpec
+    from gasnetsim.solver import EdgeGrid, Layout, SimState
 
     grids = {pid: EdgeGrid(pid, len(rp), 170.0, 1.0, rp, rm) for pid, (rp, rm) in fields.items()}
-    monkeypatch.setattr(cli_mod, "run_truth", lambda *a, **k: (SimState(grids, 0.5), []))
+    graph = NetworkGraph([PipeSpec(pid, f"n{i}", f"n{i + 1}", 170.0 * g.n_cells, 0.5)
+                          for i, (pid, g) in enumerate(grids.items())])
+    final = SnapshotFrame.from_state(SimState(grids, 0.5), Layout.of(grids, graph))
+    monkeypatch.setattr(cli_mod, "run_truth", lambda *a, **k: (final, []))
     net, scn = _write_small_inputs(tmp_path)
     scn.write_text(law_line + scn.read_text())
     out = tmp_path / "out"
@@ -800,6 +805,7 @@ def test_state_csv_domain_error_is_one_line(tmp_path, capsys, monkeypatch, law_n
 def test_series_and_snapshot_files_equal_per_value_repr(tmp_path):
     from gasnetsim.cli import _write_series_csv, _write_snapshots
     from gasnetsim.diagnostics import SnapshotFrame
+    from gasnetsim.solver import Layout
 
     rng = np.random.default_rng(3)
     vals = rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40)
@@ -813,7 +819,11 @@ def test_series_and_snapshot_files_equal_per_value_repr(tmp_path):
     x = {"p": rng.uniform(0.0, 1e3, 30), "q": rng.uniform(0.0, 1e3, 20)}
     dp = {pid: vals[: len(xs)] for pid, xs in x.items()}
     dm = {pid: -vals[-len(xs):] for pid, xs in x.items()}
-    _write_snapshots(tmp_path, [SnapshotFrame(12.5, x, dp, dm)], cols=("r_plus", "r_minus"))
+    layout = Layout(("p", "q"), (slice(0, 30), slice(30, 50)), (1.0, 1.0),
+                    np.concatenate(list(x.values())))
+    frame = SnapshotFrame(12.5, layout, np.concatenate(list(dp.values())),
+                          np.concatenate(list(dm.values())))
+    _write_snapshots(tmp_path, [frame], cols=("r_plus", "r_minus"))
     expected = ["pipe,x,r_plus,r_minus"] + [
         f"{pid},{repr(float(x[pid][i]))},{repr(float(dp[pid][i]))},{repr(float(dm[pid][i]))}"
         for pid in x for i in range(len(x[pid]))

@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gasnetsim.diagnostics import lyapunov_l0
+from gasnetsim.diagnostics import lyapunov_l0, quadrature
 from gasnetsim.errors import ConfigurationError, ScheduleError, ValidationError
 from gasnetsim.network import NetworkGraph, PipeSpec
 from gasnetsim.observer import CoupledState, ObserverConfig, step_coupled
 from gasnetsim.physics import IsothermalLaw, riemann_from_state
 from gasnetsim.solver import (
+    MODE_CFL_SAFE,
+    MODE_EXACT,
     EdgeGrid,
+    Layout,
     SimState,
     advect_step,
     build_grids,
@@ -383,3 +386,52 @@ def test_sharp_front_stays_sharp(single_pipe):
         state = step_system(state, single_pipe, controls, gains)
     vals = set(state.grids["p"].r_plus.tolist())
     assert vals == {0.0, 1.0}
+
+
+@st.composite
+def layout_cases(draw):
+    """A 1-6-pipe tree or tree plus one cycle-closing pipe, ids in a drawn
+    order, grids in either mode and random fields of many magnitudes."""
+    n_pipes = draw(st.integers(1, 6))
+    cyclic = n_pipes > 1 and draw(st.booleans())
+    ends = [(draw(st.integers(0, i)), i + 1) for i in range(n_pipes - cyclic)]
+    if cyclic:
+        a = draw(st.integers(0, n_pipes - 1))
+        ends.append((a, draw(st.integers(0, n_pipes - 1).filter(lambda b: b != a))))
+    names = draw(st.permutations(range(n_pipes)))
+    graph = NetworkGraph([
+        PipeSpec(f"p{names[i]}", f"n{a}", f"n{b}", draw(st.floats(340.0, 5000.0)),
+                 draw(st.floats(0.1, 1.5)))
+        for i, (a, b) in enumerate(ends)
+    ])
+    grids = build_grids(graph, 340.0, draw(st.sampled_from([0.125, 0.375, 0.5])),
+                        mode=draw(st.sampled_from([MODE_EXACT, MODE_CFL_SAFE])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for g in grids.values():
+        g.r_plus[:] = rng.standard_normal(g.n_cells) * 10.0 ** rng.uniform(-3, 3)
+        g.r_minus[:] = rng.standard_normal(g.n_cells) * 10.0 ** rng.uniform(-3, 3)
+    return graph, grids
+
+
+@given(layout_cases())
+def test_layout_equals_the_per_grid_formulas_bit_for_bit(case):
+    graph, grids = case
+    layout = Layout.of(grids, graph)
+    assert layout.pipes == tuple(p.id for p in graph.pipes)
+    assert not layout.x.flags.writeable
+    stop = 0
+    for p, cells, w in zip(graph.pipes, layout.spans, layout.weights):
+        g = grids[p.id]
+        assert (cells.start, cells.stop, cells.step) == (stop, stop + g.n_cells, None)
+        stop = cells.stop
+        assert w == 0.5 * p.diameter ** 2 * g.dx
+        assert layout.x[cells].tobytes() == g.cell_centers().tobytes()
+    assert stop == len(layout.x)
+    plus, minus = layout.pack(grids)
+    gs = [grids[p.id] for p in graph.pipes]
+    assert plus.tobytes() == np.concatenate([g.r_plus for g in gs]).tobytes()
+    assert minus.tobytes() == np.concatenate([g.r_minus for g in gs]).tobytes()
+    per_pipe = sum(0.5 * p.diameter ** 2 * g.dx
+                   * float(np.dot(g.r_plus, g.r_plus) + np.dot(g.r_minus, g.r_minus))
+                   for p, g in zip(graph.pipes, gs))
+    assert quadrature(plus, minus, layout) == per_pipe
