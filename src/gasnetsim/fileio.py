@@ -16,6 +16,7 @@ Scenario format: key/value lines documented in the README; pressures in bar
 from __future__ import annotations
 
 import math
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -200,8 +201,8 @@ class InitialCondition:
             raise ValidationError(f"unknown initial-condition kind {self.kind!r}")
         if not (math.isfinite(self.p_base) and math.isfinite(self.h)):
             raise ValidationError("initial condition needs finite p_base and h")
-        if self.kind == "sinusoidal" and self.f <= 0:
-            raise ValidationError("sinusoidal initial condition needs f >= 1")
+        if self.kind == "sinusoidal" and not 1 <= self.f <= sys.float_info.max:
+            raise ValidationError("sinusoidal initial condition needs f >= 1 in the float range")
 
     def pressure_bar(self, x: np.ndarray, length: float) -> np.ndarray:
         if self.kind == "constant":

@@ -73,7 +73,8 @@ class PressureLaw:
         else:
             ok = np.isfinite(arr := np.asarray(rho, dtype=float)).all() and (arr > 0.0).all()
         if not ok:
-            raise DomainError(f"density must be positive and finite, got {rho}")
+            bad = rho if type(rho) is float else arr[~((arr > 0.0) & (arr < math.inf))][0]
+            raise DomainError(f"density must be positive and finite, got {bad}")
 
     def _validate_monotone(self) -> None:
         # Sampled strict monotonicity over a wide admissible range.

@@ -18,6 +18,7 @@ NETWORK = "pipe a 0 1 680 0.5\npipe b 1 2 1020 0.6\npipe c 3 1 80000 0.4\n"
 EXTREMES = ["0", "-1", "nan", "inf", "-inf", "1e308", "-1e308", "1e-308", "5e-324"]
 NODES = st.sampled_from(["0", "1", "2", "3", "9"])  # 1 is interior, 9 unknown
 PIPES = st.sampled_from(["a", "b", "c", "z"])  # z is unknown
+HUGE_F = "1" + "0" * 400  # an integer no float holds
 
 
 def number(*typical):
@@ -47,7 +48,7 @@ RECORDS = st.one_of(
     record("ic", st.sampled_from(["S", "R"]), PIPES, "constant", number("60")),
     record("ic", st.sampled_from(["S", "R"]), PIPES, "half_step", number("60"), number("2")),
     record("ic", st.sampled_from(["S", "R"]), PIPES, "sinusoidal", number("60"), number("1"),
-           st.sampled_from(["1", "4", "0", "-1"])),
+           st.sampled_from(["1", "4", "0", "-1", HUGE_F])),
     record("boundary", st.one_of(NODES, st.just("default")), number("0", "1"), number("59.5"),
            number("41.788", "-4.323")),
 )
@@ -115,6 +116,7 @@ def exit_code(command, network, records, bounds=()):
 @example("observe", ["t_end 1e-308", "dt 1e-308"], [])
 @example("simulate", ["law isentropic 1e-308 1.4", "dt 0.25"], [])
 @example("simulate", ["boundary default 0 5e-324 1"], [])  # rho * A underflowed to 0
+@example("simulate", [f"ic S a sinusoidal 60 1 {HUGE_F}"], [])  # f * pi overflowed
 @given(command=st.sampled_from(["observe", "simulate", "certify"]),
        records=st.lists(RECORDS, max_size=6), bounds=BOUNDS)
 def test_fuzzed_scenario_and_bounds_exit_0_2_or_3(command, records, bounds):

@@ -236,6 +236,14 @@ def test_domain_checks_reject_the_same_inputs(law, bad, shape):
     assert law.rtilde(empty).shape == law.density_from_pressure(empty).shape == (0,)
 
 
+@pytest.mark.parametrize("law", LAWS, ids=["isothermal", "isentropic-2", "isentropic-1.4", "aga"])
+def test_density_error_is_one_line_naming_the_first_bad_density(law):
+    rho = np.full(400, 50.0)
+    rho[[7, 9]] = math.inf, -1.0
+    with pytest.raises(DomainError, match=r"^density must be positive and finite, got inf$"):
+        law.rtilde(rho)
+
+
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
