@@ -7,9 +7,12 @@ Both sides are extracted with `git archive` into `.ab_bench/parent/` and
 `.ab_bench/change/` at the repository root: the parent from PARENT_REV, the
 change from the working tree as `git add -A` would stage it (the tree is
 written through a temporary index, so the real index is left alone).  Each
-of the N pairs runs `python3 perfbench/run.py --workload W --seed S` once
-per side, one run at a time; odd pairs run the parent first, even pairs the
-change.  A run's value of a metric is run.py's median over its repetitions.
+of the N pairs runs W once per side, one run at a time; odd pairs run the
+parent first, even pairs the change.  A run starts one
+`python3 perfbench/run.py --workload w --seed S` process per workload w of W
+(every workload in BENCHMARK.json for `all`), so no workload's peak RSS
+starts from a process that an earlier workload grew.  A run's value of a
+metric `w.metric` is run.py's median over its repetitions.
 
 For every end-to-end metric that the parent's BENCHMARK.json names, the
 script prints each side's median and quartiles over the runs, the change's
@@ -61,21 +64,33 @@ def extract(tree: str, dest: Path) -> None:
         raise SystemExit(f"error: could not extract {tree} into {dest}")
 
 
-def run_once(checkout: Path, workload: str, seed: int, n_workloads: int) -> dict:
-    """One perfbench run: its last-line JSON plus the identity and PROBLEM lines."""
+def run_workload(checkout: Path, workload: str, seed: int) -> dict:
+    """One perfbench process for one workload: its last-line JSON, with the
+    metrics named `workload.metric`, plus its identity and PROBLEM lines."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
-        cwd=checkout, capture_output=True, text=True, timeout=RUN_LIMIT_S * n_workloads)
+        cwd=checkout, capture_output=True, text=True, timeout=RUN_LIMIT_S)
     lines = proc.stdout.splitlines()
     if proc.returncode or not lines:
         raise SystemExit(f"error: perfbench in {checkout} exited {proc.returncode}:\n"
                          f"{proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
-    if workload != "all":  # run.py names a single workload's metrics without its prefix
-        result["metrics"] = {f"{workload}.{k}": v for k, v in result["metrics"].items()}
+    # run.py names a single workload's metrics without its prefix
+    result["metrics"] = {f"{workload}.{k}": v for k, v in result["metrics"].items()}
     result["identity_lines"] = [ln for ln in lines if "byte-identical" in ln]
     result["problem_lines"] = [ln for ln in lines if "PROBLEM" in ln]
     return result
+
+
+def run_once(checkout: Path, workloads: List[str], seed: int) -> dict:
+    """One run: every workload in its own process, merged into one record."""
+    parts = [run_workload(checkout, w, seed) for w in workloads]
+    return {"correct": all(r["correct"] for r in parts),
+            "attempted": sum(r["attempted"] for r in parts),
+            "failed": sum(r["failed"] for r in parts),
+            "metrics": {k: v for r in parts for k, v in r["metrics"].items()},
+            "identity_lines": [ln for r in parts for ln in r["identity_lines"]],
+            "problem_lines": [ln for r in parts for ln in r["problem_lines"]]}
 
 
 def spread(values: List[float]) -> Dict[str, float]:
@@ -127,7 +142,8 @@ def main(argv=None) -> int:
     if not bench_same:
         print("warning: perfbench/ differs between the sides; each runs its own", flush=True)
     bench = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
-    n_workloads = len(bench["workloads"]) if args.workload == "all" else 1
+    workloads = ([w["name"] for w in bench["workloads"]] if args.workload == "all"
+                 else [args.workload])
 
     runs: Dict[str, List[dict]] = {"parent": [], "change": []}
     order = []
@@ -135,7 +151,7 @@ def main(argv=None) -> int:
         sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         order.append(list(sides))
         for side in sides:
-            result = run_once(checkouts[side], args.workload, args.seed, n_workloads)
+            result = run_once(checkouts[side], workloads, args.seed)
             runs[side].append(result)
             print(f"pair {i + 1}/{args.pairs} {side}: correct={result['correct']} "
                   f"failed={result['failed']} of {result['attempted']}", flush=True)
