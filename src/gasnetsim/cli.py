@@ -36,9 +36,9 @@ def _fmt(x: float) -> str:
 def _rows(layout: Layout, *columns: np.ndarray):
     """CSV lines `pipe,x,c0,c1,...` of float columns packed by `layout`, one
     per cell, pipe by pipe."""
-    for pid, cells in zip(layout.pipes, layout.spans):
-        rows = zip(*[c[cells].tolist() for c in (layout.x, *columns)])
-        yield from (",".join([pid, *map(repr, vals)]) + "\n" for vals in rows)
+    return (",".join([pid, *map(repr, vals)]) + "\n"
+            for pid, cells in zip(layout.pipes, layout.spans)
+            for vals in zip(*[c[cells].tolist() for c in (layout.x, *columns)]))
 
 
 def _parse_times(text: str, option: str) -> List[float]:
