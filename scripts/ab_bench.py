@@ -18,9 +18,9 @@ For every end-to-end metric that the parent's BENCHMARK.json names, the
 script prints each side's median and quartiles over the runs, the change's
 relative shift and its wins (pairs where the change reads better, ties
 counting for neither), and whether the medians differ by more than the
-distance between the parent's quartiles.  The same numbers, each run's
-result line and its seed-0 identity and PROBLEM lines go to
-`.ab_bench/ab_<W>_seed<S>.json`.
+distance between the parent's quartiles.  It also prints each side's
+`wc -l src/gasnetsim/*.py`.  The same numbers, each run's result line and
+its seed-0 identity and PROBLEM lines go to `.ab_bench/ab_<W>_seed<S>.json`.
 """
 
 from __future__ import annotations
@@ -93,6 +93,12 @@ def run_once(checkout: Path, workloads: List[str], seed: int) -> dict:
             "problem_lines": [ln for r in parts for ln in r["problem_lines"]]}
 
 
+def source_lines(checkout: Path) -> int:
+    """`wc -l src/gasnetsim/*.py` in `checkout`: the newlines of those files."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "gasnetsim").glob("*.py"))
+
+
 def spread(values: List[float]) -> Dict[str, float]:
     q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1
                  else values * 3)
@@ -137,6 +143,9 @@ def main(argv=None) -> int:
     checkouts = {side: OUT / side for side in trees}
     for side, tree in trees.items():
         extract(tree, checkouts[side])
+    lines = {side: source_lines(checkout) for side, checkout in checkouts.items()}
+    print(f"wc -l src/gasnetsim/*.py: parent {lines['parent']}  change {lines['change']}",
+          flush=True)
     bench_same = git("rev-parse", f"{parent}:perfbench") == git(
         "rev-parse", f"{trees['change']}:perfbench")
     if not bench_same:
@@ -167,7 +176,7 @@ def main(argv=None) -> int:
     record = {"parent_rev": args.parent_rev, "parent_commit": parent,
               "change_tree": trees["change"], "workload": args.workload, "seed": args.seed,
               "pairs": args.pairs, "order": order, "benchmark_identical": bench_same,
-              "summary": summary, "runs": runs}
+              "src_lines": lines, "summary": summary, "runs": runs}
     path = OUT / f"ab_{args.workload}_seed{args.seed}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"written: {path}")

@@ -87,7 +87,7 @@ def main(argv=None) -> int:
                 rate, _ = fit_decay_rate(result.series, window)
             except ValidationError:
                 rate = None
-            sync = result.sync_time
+            sync = result.series.sync_time()
             n_runs += 1
             rate_txt = f"{rate:10.6f}/s" if rate is not None else f"{'n/a':>12s}"
             sync_txt = f"{sync:8.1f}s" if sync is not None else f"{'none':>9s}"

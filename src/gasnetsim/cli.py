@@ -98,7 +98,7 @@ def write_observe_outputs(out: Path, result: RunResult, window: Tuple[float, flo
             lines.append(f"{label}_fit_r2 = {_fmt(r2)}")
         except ValidationError as exc:
             lines.append(f"{label}_decay_rate_per_s = n/a ({exc})")
-    sync = result.sync_time
+    sync = series.sync_time()
     lines.append(
         f"finite_time_sync_s = {_fmt(sync)}" if sync is not None else "finite_time_sync_s = none"
     )

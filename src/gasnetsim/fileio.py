@@ -3,7 +3,7 @@
 Native network format (one record per non-comment line, '#' comments):
 
     node <id>
-    pipe <id> <from> <to> <length_m> <diameter_m> [theta_per_m]
+    pipe <id> <from> <to> <length_m> <diameter_m>
 
 GasLib subset: XML ``<pipe from=.. to=..>`` elements with ``<length>`` and
 ``<diameter>`` children carrying value/unit attributes (km/m and mm/m).
@@ -80,22 +80,16 @@ def _parse_native(text: str) -> NetworkGraph:
                 raise ParseError(f"line {lineno}: node record needs exactly one id")
             nodes.append(parts[1])
         elif kind == "pipe":
-            if len(parts) not in (6, 7):
-                raise ParseError(
-                    f"line {lineno}: pipe record needs "
-                    "'pipe <id> <from> <to> <length_m> <diameter_m> [theta_per_m]'"
-                )
+            if len(parts) != 6:
+                raise ParseError(f"line {lineno}: pipe record needs 'pipe <id> <from> <to> "
+                                 "<length_m> <diameter_m>'; friction is the scenario's 'theta'")
             pid, from_node, to_node = parts[1:4]
             try:
-                length = float(parts[4])
-                diameter = float(parts[5])
-                theta = float(parts[6]) if len(parts) == 7 else 0.0
+                length, diameter = float(parts[4]), float(parts[5])
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from None
             try:
-                pipes.append(
-                    PipeSpec(pid, from_node, to_node, length, diameter, theta)
-                )
+                pipes.append(PipeSpec(pid, from_node, to_node, length, diameter))
             except ValidationError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from None
         else:

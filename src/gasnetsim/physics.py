@@ -255,7 +255,3 @@ def pressure_from_riemann(law: PressureLaw, r_plus: float, r_minus: float) -> fl
     mid = (r_plus + r_minus) / 2.0
     return float(law.pressure(law.rtilde_inverse(mid)))
 
-
-def mach_number(law: PressureLaw, r_plus: float, r_minus: float) -> float:
-    """v / c with v from the invariants and c the reference sound speed."""
-    return (r_plus - r_minus) / 2.0 / law.sound_speed()

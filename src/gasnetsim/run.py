@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -81,16 +81,18 @@ def assemble(graph: NetworkGraph, scenario: ScenarioSpec) -> Assembled:
 def _initial_state(graph: NetworkGraph, scenario: ScenarioSpec, dt: float, which: str) -> SimState:
     law = scenario.law
     grids = build_grids(graph, law.sound_speed(), dt, mode=scenario.mode)
-    known = set(g.pipe for g in grids.values())
     table = scenario.ic_s if which == "S" else scenario.ic_r
-    unknown = set(table) - known
+    unknown = set(table) - set(grids)
     if unknown:
         raise ValidationError(f"initial condition for unknown pipe(s): {sorted(unknown)}")
     for pid, g in grids.items():
         ic = scenario.ic_for(which, pid)
-        p_bar = ic.pressure_bar(g.cell_centers(), g.length)
-        rho = law.density_from_pressure(np.asarray(p_bar) * BAR)
-        rt = np.asarray(law.rtilde(rho), dtype=float)
+        p = np.asarray(ic.pressure_bar(g.cell_centers(), g.length)) * BAR
+        if not np.isfinite(p).all():  # p_base + h, f pi x or the factor to Pa overflowed
+            record = f"ic {which} {ic.kind}" if pid in table else "rest_pressure"
+            raise ValidationError(f"pipe {pid!r}: {record} (p_base {ic.p_base!r} bar, h {ic.h!r} "
+                                  f"bar, f {ic.f:.6g}) is not finite in Pa")
+        rt = np.asarray(law.rtilde(law.density_from_pressure(p)), dtype=float)
         g.r_plus[:] = rt  # zero initial velocity: R+ = R- = Rt(rho)
         g.r_minus[:] = rt
     return SimState(grids=grids, dt=dt, step_index=0)
@@ -107,10 +109,6 @@ class RunResult:
     snapshots: List[SnapshotFrame]
     graph: NetworkGraph
 
-    @property
-    def sync_time(self) -> Optional[float]:
-        return self.series.sync_time()
-
 
 def _snapshot_steps(times: Sequence[float], dt: float, n: int) -> List[int]:
     """The steps nearest to `times`, each time first clamped to [0, n dt];
@@ -126,12 +124,14 @@ def _snapshot_steps(times: Sequence[float], dt: float, n: int) -> List[int]:
     return steps
 
 
-def _check_state_finite(state: SimState) -> None:
-    """Every node map multiplies its inputs, so a non-finite value never
-    leaves the state again: checking now and then catches every blow-up."""
-    for pid, g in state.grids.items():
-        if not (np.isfinite(g.r_plus).all() and np.isfinite(g.r_minus).all()):
-            raise NumericalError(f"simulation blew up: pipe {pid} is not finite at t={state.t}")
+def _finite(frame: SnapshotFrame) -> SnapshotFrame:
+    """`frame` if it is finite: every node map multiplies its inputs, so a non-finite
+    value never leaves the state again and the recorded frames show every blow-up."""
+    bad = np.flatnonzero(~(np.isfinite(frame.plus) & np.isfinite(frame.minus)))
+    if bad.size:  # the pipe of the first bad cell: the one after every span ending before it
+        pid = frame.layout.pipes[sum(cells.stop <= bad[0] for cells in frame.layout.spans)]
+        raise NumericalError(f"simulation blew up: pipe {pid} is not finite at t={frame.t}")
+    return frame
 
 
 def run_observer_pair(
@@ -207,7 +207,5 @@ def run_truth(
         if k > 0:
             state = step_system(state, asm.graph, asm.config.controls, asm.mu)
         if k in snap_steps:
-            _check_state_finite(state)
-            snapshots.append(SnapshotFrame.from_state(state, asm.layout))
-    _check_state_finite(state)
-    return SnapshotFrame.from_state(state, asm.layout), snapshots
+            snapshots.append(_finite(SnapshotFrame.from_state(state, asm.layout)))
+    return _finite(SnapshotFrame.from_state(state, asm.layout)), snapshots

@@ -3,6 +3,7 @@ functions by name; these tests fail when a refactor moves one of them."""
 
 import importlib
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -64,3 +65,23 @@ def test_ab_bench_summary_counts_wins_by_each_metrics_direction():
     assert cpu["parent"] == pytest.approx({"median": 1.2, "q1": 1.1, "q3": 1.3, "iqr": 0.2})
     assert cpu["shift"] == pytest.approx(0.9 / 1.2 - 1.0)
     assert cpu["beyond_parent_iqr"] and not rate["beyond_parent_iqr"]
+
+
+def test_ab_bench_counts_source_lines_as_wc_does(tmp_path):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "ab_bench.py"
+    spec = importlib.util.spec_from_file_location("ab_bench", path)
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+
+    pkg = tmp_path / "src" / "gasnetsim"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\n\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3")  # no final newline: wc -l counts 0
+    (pkg / "notes.txt").write_text("not\nsource\n")
+    (pkg / "data").mkdir()
+    (pkg / "data" / "c.py").write_text("nested\n")  # *.py does not descend
+    assert ab.source_lines(tmp_path) == 3
+    repo = path.parent.parent
+    wc = subprocess.run("wc -l src/gasnetsim/*.py", shell=True, cwd=repo, check=True,
+                        capture_output=True, text=True).stdout.splitlines()[-1].split()
+    assert wc[-1] == "total" and ab.source_lines(repo) == int(wc[0])

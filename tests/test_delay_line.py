@@ -7,12 +7,17 @@ shares no code with `advect_step`, `transport` or the kernel's end-cell
 reader.  The truth map is `junction_outflow`; the error system's map is
 written out here from the paper's rule."""
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, strategies as st
 
+from gasnetsim.diagnostics import lyapunov_l0
 from gasnetsim.fileio import bundled_path, parse_network_file, parse_scenario
 from gasnetsim.network import NetworkGraph, PipeSpec, junction_outflow
-from gasnetsim.observer import diff_junction_outflow, direct_diff_step, step_system
+from gasnetsim.observer import (CoupledState, ObserverConfig, difference_state,
+                                diff_junction_outflow, direct_diff_step, step_coupled,
+                                step_system)
 from gasnetsim.run import assemble, run_truth
 from gasnetsim.solver import SimState, build_grids
 
@@ -117,6 +122,40 @@ def test_frictionless_exact_error_system_is_a_delay_line(case):
     for _ in range(n_steps):
         state = direct_diff_step(state, graph, mu)
     assert_same_bits(state, final)
+
+
+@st.composite
+def covered_gains(draw, graph):
+    """mu = 0 on a drawn vertex cover (a node set holding an end of every
+    pipe) and mu in [-1, 1], -1 and 1 included, at every other node."""
+    cover = {v for v in graph.nodes if draw(st.booleans())}
+    for p in graph.pipes:
+        if not {p.from_node, p.to_node} & cover:
+            cover.add(draw(st.sampled_from([p.from_node, p.to_node])))
+    free = st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0))
+    return {v: 0.0 if v in cover else draw(free) for v in graph.nodes}
+
+
+@given(delay_cases(), st.data())
+def test_mu_zero_on_a_vertex_cover_syncs_exactly_by_twice_the_longest_pipe(case, data):
+    """A mu = 0 node sends the truth's values, so from step max_e n_e on a
+    node reads exact values on every pipe from a covered end; an uncovered
+    node has only such pipes and then sends exact values too, which fill
+    their pipes by step 2 max_e n_e: from then on delta = R - S is 0.0."""
+    graph, s_grids, controls, _, dt, _ = case
+    mu = data.draw(covered_gains(graph))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    r_grids = {pid: replace(g, r_plus=rng.normal(1300.0, 50.0, g.n_cells),
+                            r_minus=rng.normal(1300.0, 50.0, g.n_cells))
+               for pid, g in s_grids.items()}
+    cs = CoupledState(SimState(s_grids, dt), SimState(r_grids, dt), ObserverConfig(mu, controls))
+    n_max = max(g.n_cells for g in s_grids.values())
+    for k in range(1, 3 * n_max + 1):
+        cs, _ = step_coupled(cs, graph)
+        if k >= 2 * n_max:
+            delta = difference_state(cs.r_state, cs.s_state).grids
+            assert not any(g.r_plus.any() or g.r_minus.any() for g in delta.values()), k
+            assert lyapunov_l0(delta, graph) == 0.0
 
 
 def test_bundled_network_run_is_a_delay_line():

@@ -1,10 +1,12 @@
-"""Network and scenario records built from the README grammar, and certify
-bound options, with typical and extreme numbers: every command must end in
-exit 0, 2 or 3 and raise nothing, and on exit 0 write CSV files that any
-CSV reader splits as their header says."""
+"""Network and scenario records built from the README grammar, certify
+bound options and the time and stride options, with typical and extreme
+numbers: every command must end in exit 0, 2 or 3 and raise nothing, and on
+exit 0 write CSV files that any CSV reader splits as their header says."""
 
 import csv
+import io
 import tempfile
+from contextlib import redirect_stderr
 from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
@@ -59,8 +61,9 @@ BOUNDS = st.lists(st.sampled_from(["--m-tilde", "--b-tilde", "--amplitude-bound"
 
 
 def pipe_record(pid, ends, length, diameter):
-    """The typical `pipe` record half of the time, else one whose length,
-    diameter and, when present, theta are each typical or extreme."""
+    """The typical `pipe` record half of the time, else one whose length and
+    diameter are each typical or extreme, sometimes with a 7th field that the
+    grammar does not have (friction is the scenario's `theta`)."""
     theta = st.one_of(st.just([]), number("0", "0.0137").map(lambda t: [t]))
     fuzzed = st.tuples(number(length), number(diameter), theta).map(
         lambda vals: " ".join(["pipe", pid, ends, vals[0], vals[1], *vals[2]]))
@@ -136,3 +139,45 @@ def test_fuzzed_scenario_and_bounds_exit_0_2_or_3(command, records, bounds):
        records=st.lists(RECORDS, max_size=2))
 def test_fuzzed_network_exit_0_2_or_3(command, network, records):
     assert exit_code(command, network, records) in (0, 2, 3)
+
+
+# The time and stride options, in the `=` form: argparse reads a value with a
+# leading `-` after a space as an option of its own.  A list of times may hold
+# an empty or non-numeric token, or be empty.
+TIMES = st.lists(st.one_of(number("0", "1.5", "3"), st.sampled_from(["", "x"])),
+                 min_size=1, max_size=3).map(",".join)
+OPTIONS = st.one_of(
+    st.tuples(st.just("observe"), st.tuples(
+        TIMES.map("--snapshots={}".format),
+        st.one_of(st.just(""), st.tuples(number("0.5"), number("2.5")).map(",".join), TIMES)
+        .map("--fit-window={}".format),
+        number("0", "1", "15").map("--residual-stride={}".format))),
+    st.tuples(st.just("simulate"), st.tuples(TIMES.map("--snapshots={}".format))),
+    st.tuples(st.just("snapshot"), st.tuples(TIMES.map("--times={}".format))),
+)
+
+
+@settings(max_examples=200)
+@given(case=OPTIONS)
+def test_fuzzed_options_exit_0_2_or_3_with_one_error_line_and_no_output(case):
+    command, options = case
+    with tempfile.TemporaryDirectory() as tmp:
+        net, scn, out = Path(tmp, "net.net"), Path(tmp, "run.scn"), Path(tmp, "out")
+        net.write_text(NETWORK, encoding="utf-8")
+        scn.write_text("t_end 3\n")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            try:
+                code = run_cli([command, "--network", str(net), "--scenario", str(scn),
+                                "--out", str(out), *options])
+            except SystemExit as exc:  # argparse's usage error: `prog: error: ...`
+                code = exc.code
+                assert code == 2 and len([ln for ln in err.getvalue().splitlines()
+                                          if ": error: " in ln]) == 1
+            else:
+                assert code in (0, 2, 3)
+                if code == 2:
+                    assert len(err.getvalue().splitlines()) == 1
+                    assert err.getvalue().startswith("error: ")
+        if code:
+            assert not out.exists() or not any(out.iterdir())

@@ -80,9 +80,9 @@ def test_parse_native_rejects_stray_node():
         parse_network("node a\nnode z\npipe p a b 10 0.5")
 
 
-def test_round_trip_preserves_theta():
-    p = PipeSpec("p", "a", "b", 1000.5, 0.5, 0.0137)
-    g = parse_network(f"pipe p a b {p.length!r} {p.diameter!r} {p.theta!r}")
+def test_round_trip_preserves_length_and_diameter():
+    p = PipeSpec("p", "a", "b", 1000.5, 0.5)
+    g = parse_network(f"pipe p a b {p.length!r} {p.diameter!r}")
     assert g.pipes == (p,)
 
 
@@ -555,9 +555,19 @@ GASLIB_ONE_PIPE = ('<network><pipe id="{}" from="n1" to="n2"><length value="340"
     ("pipe a n0 n1 340 0.5", "boundary default 0 5e-324 1\n", "5e-324 bar"),
     # `boundary default` is the fallback, never the schedule of a node so named
     ("pipe a default n1 340 0.5", "boundary default 0 61 0\n", "boundary node 'default'"),
+    # friction is the scenario's `theta`, never a field of the pipe record
+    ("pipe a n0 n1 340 0.5 0.0137", "", "line 1: pipe record needs 'pipe <id> <from> <to> "
+     "<length_m> <diameter_m>'; friction is the scenario's 'theta'"),
+    # initial pressures that leave the float range: f pi x, p_base + h, bar to Pa
+    ("pipe a n0 n1 340 0.5", f"ic S a sinusoidal 60 1 1{'0' * 307}\n",
+     "pipe 'a': ic S sinusoidal (p_base 60.0 bar, h 1.0 bar, f 1e+307) is not finite"),
+    ("pipe a n0 n1 340 0.5", "ic R a half_step 1e308 1e308\n", "pipe 'a': ic R half_step"),
+    ("pipe a n0 n1 340 0.5", "ic S a constant 1e304\n", "pipe 'a': ic S constant"),
+    ("pipe a n0 n1 340 0.5", "rest_pressure 1e304\n", "pipe 'a': rest_pressure (p_base 1e+304"),
 ], ids=["comma-pipe-id", "comma-node-id", "quoted-pipe-id", "gaslib-newline-id",
         "weight-overflows", "default-dt-underflows", "density-underflows",
-        "node-named-default"])
+        "node-named-default", "pipe-friction-field", "ic-sine-overflows",
+        "ic-step-overflows", "ic-pa-overflows", "rest-pressure-pa-overflows"])
 @pytest.mark.parametrize("command", ["simulate", "observe", "certify"])
 def test_cli_unusable_network_or_boundary_exits_2_and_writes_nothing(tmp_path, capsys, command,
                                                                       network, records,

@@ -10,7 +10,6 @@ from gasnetsim.physics import (
     GasState,
     IsentropicLaw,
     IsothermalLaw,
-    mach_number,
     pressure_from_riemann,
     riemann_from_state,
     state_from_riemann,
@@ -165,11 +164,6 @@ def test_pressure_from_riemann_isentropic_normalized():
 def test_pressure_positive(rp, rm):
     law = IsothermalLaw(c=340.0)
     assert pressure_from_riemann(law, rp, rm) > 0.0
-
-
-def test_mach_number_isothermal():
-    law = IsothermalLaw(c=340.0)
-    assert mach_number(law, 10.0, 4.0) == pytest.approx(3.0 / 340.0, rel=1e-14)
 
 
 def test_gas_state_validation():
