@@ -21,6 +21,8 @@ counting for neither), and whether the medians differ by more than the
 distance between the parent's quartiles.  It also prints each side's
 `wc -l src/gasnetsim/*.py`.  The same numbers, each run's result line and
 its seed-0 identity and PROBLEM lines go to `.ab_bench/ab_<W>_seed<S>.json`.
+The script then exits 1 if any run was not correct or had failed
+operations, listing each such run, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -128,6 +130,15 @@ def summarise(runs: Dict[str, List[dict]], end_to_end: List[dict]) -> Dict[str, 
     return summary
 
 
+def bad_runs(runs: Dict[str, List[dict]]) -> List[str]:
+    """One line for each run that was not correct or had failed operations:
+    its side, pair, failed count and PROBLEM lines."""
+    return [f"{side} pair {i}: correct={r['correct']} failed={r['failed']} of "
+            f"{r['attempted']}" + "".join(f"\n  {ln}" for ln in r["problem_lines"])
+            for side, side_runs in runs.items() for i, r in enumerate(side_runs, start=1)
+            if not r["correct"] or r["failed"]]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_rev", metavar="PARENT_REV")
@@ -180,6 +191,11 @@ def main(argv=None) -> int:
     path = OUT / f"ab_{args.workload}_seed{args.seed}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"written: {path}")
+    bad = bad_runs(runs)
+    if bad:
+        print("error: runs that were not correct or had failed operations:", *bad, sep="\n",
+              file=sys.stderr)
+        return 1
     return 0
 
 

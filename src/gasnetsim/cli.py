@@ -205,8 +205,17 @@ def _cmd_certify(args, graph: NetworkGraph, scenario: ScenarioSpec) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad, unknown or missing option as every other input error
+    is reported: one `error:` line and exit 2.  `add_subparsers` makes each
+    subparser of this class too."""
+
+    def error(self, message: str):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gasnetsim",
         description="Gas network transient simulator with a nodal observer",
     )

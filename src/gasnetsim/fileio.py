@@ -24,7 +24,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ParseError, ScheduleError, ValidationError
+from .errors import DomainError, ParseError, ScheduleError, ValidationError
 from .network import NetworkGraph, NodeId, PipeId, PipeSpec, check_gain
 from .physics import AgaLaw, IsentropicLaw, IsothermalLaw, PressureLaw
 
@@ -239,10 +239,10 @@ class ScenarioSpec:
             check_gain(m, v)
         if not 0 <= self.theta < math.inf:
             raise ValidationError(f"theta must be finite and nonnegative, got {self.theta}")
-        for points in list(self.boundary.values()) + (
-            [self.boundary_default] if self.boundary_default else []
-        ):
-            _check_schedule(points)
+        for v, points in self.boundary.items():
+            _check_schedule(points, f"boundary {v}")
+        if self.boundary_default is not None:
+            _check_schedule(self.boundary_default, "boundary default")
 
     def resolve_mu(self, graph: NetworkGraph) -> Dict[NodeId, float]:
         """Per-node gains: preset first, explicit overrides on top."""
@@ -283,15 +283,16 @@ def _mixed_mu(v: NodeId) -> float:
     return 0.0 if (idx % 2 == 0 or idx in _MIXED_EXTRA_ZEROS) else 1.0
 
 
-def _check_schedule(points: Sequence[BoundaryPoint]) -> None:
+def _check_schedule(points: Sequence[BoundaryPoint], where: str) -> None:
     if not points:
-        raise ValidationError("boundary schedule needs at least one breakpoint")
+        raise ValidationError(f"{where}: boundary schedule needs at least one breakpoint")
     ts = [p.t for p in points]
     if any(t1 <= t0 for t0, t1 in zip(ts, ts[1:])):
-        raise ValidationError(f"schedule breakpoints must be strictly increasing, got {ts}")
+        raise ValidationError(f"{where}: schedule breakpoints must be strictly increasing, "
+                              f"got {ts}")
     for p in points:
         if not all(map(math.isfinite, (p.t, p.p_bar, p.m_kg_s))) or p.p_bar <= 0:
-            raise ValidationError(f"bad schedule breakpoint {p}")
+            raise ValidationError(f"{where}: bad schedule breakpoint {p}")
 
 
 def parse_scenario(text: str) -> ScenarioSpec:
@@ -418,19 +419,26 @@ def make_boundary_control(
     Pressure and mass flow are interpolated linearly between breakpoints and
     held constant after the last one; t < 0 raises ScheduleError.  Then
     u = Rt(rho(p)) + m / (rho A) with A = pi D^2 / 4 and m counted positive
-    into the network, the same expression at both pipe ends.
+    into the network, the same expression at both pipe ends.  A breakpoint
+    pressure that the law has no density for, or whose rho A is 0, is
+    refused here, naming the pipe.
     """
     pts = tuple(points)
-    _check_schedule(pts)
+    _check_schedule(pts, f"boundary schedule at pipe {pipe.id!r}")
     ts = np.array([p.t for p in pts])
     ps = np.array([p.p_bar for p in pts])
     ms = np.array([p.m_kg_s for p in pts])
     area = pipe.area
-    # Density rises with pressure, so the lowest breakpoint gives the least rho * A.
-    p_min = min(p.p_bar for p in pts)
-    if law.density_from_pressure(p_min * BAR) * area == 0:
-        raise ValidationError(f"boundary pressure {p_min!r} bar at pipe {pipe.id!r} gives a "
-                              "density times cross section of 0")
+    # Every control value lies between two breakpoints or at one, and each
+    # law's admissible pressures form an interval: the breakpoints cover every t.
+    for p in pts:
+        where = f"boundary pressure {p.p_bar!r} bar at pipe {pipe.id!r}"
+        try:
+            rho = law.density_from_pressure(p.p_bar * BAR)
+        except DomainError as exc:
+            raise DomainError(f"{where}: {exc}") from None
+        if rho * area == 0:
+            raise ValidationError(f"{where} gives a density times cross section of 0")
 
     def control(t: float) -> float:
         if t < 0:

@@ -14,8 +14,8 @@ from typing import Dict, Mapping, Optional, Tuple
 from .errors import ConfigurationError, ValidationError
 from .network import (NetworkGraph, NodeId, PipeId, PipeSpec, boundary_outflow, check_gain,
                       end_cell, junction_outflow, omega_v)
-from .solver import (Control, EdgeGrid, SimState, friction_root_shifted, recombine, step_system,
-                     transport)
+from .solver import (Control, EdgeGrid, SimState, friction_root_shifted, recombine, transport,
+                     truth_friction)
 
 
 @dataclass
@@ -127,7 +127,7 @@ def step_coupled(
     measurement snapshot) and the same control values u(t), then the two
     systems advance independently.  One pass over `graph.node_plan` gives
     every node's truth map, error map (`error_outflow`) and observer map (as
-    `observer_node_update`).
+    `observer_node_update`); one `transport` per system ends the tick.
     """
     cfg, s, r = cs.config, cs.s_state, cs.r_state
     s_grids, r_grids, t = s.grids, r.grids, s.t
@@ -155,9 +155,8 @@ def step_coupled(
             r_out[v] = {e: boundary_outflow(mu, u, y)}
         if traces is not None:
             traces[v] = NodalTrace(mu, d_in, d_out)
-    s_next = step_system(s, graph, cfg.controls, cfg.mu, node_outs=s_out)
-    r_next = step_system(r, graph, cfg.controls, cfg.mu, node_outs=r_out)
-    return CoupledState(s_next, r_next, cfg), traces
+    return CoupledState(transport(s, graph, s_out, truth_friction),
+                        transport(r, graph, r_out, truth_friction), cfg), traces
 
 
 def direct_diff_step(
@@ -191,10 +190,10 @@ def direct_diff_step(
         check_gain(mu[v], v)
         outs[v] = error_outflow(graph.incoming(v, d_state.grids), graph.diameters_at(v), mu[v])
 
-    def shifted_friction(p: PipeSpec, g: EdgeGrid):
+    def shifted_friction(p: PipeSpec, g: EdgeGrid, dt: float):
         sg = s_new.grids[p.id]
         frozen = sg.r_plus - sg.r_minus  # spent after the root: recombine's work array
-        d = friction_root_shifted(g.r_plus - g.r_minus, frozen, 2.0 * d_state.dt * p.nu)
+        d = friction_root_shifted(g.r_plus - g.r_minus, frozen, 2.0 * dt * p.nu)
         return recombine(g.r_plus + g.r_minus, d, frozen)
 
     return transport(d_state, graph, outs, shifted_friction)

@@ -11,11 +11,11 @@ import numpy as np
 
 from .diagnostics import (LyapunovSeries, RegularityTracker, SnapshotFrame, nodal_energy_residual,
                           quadrature, snapshot_file_name)
-from .errors import NumericalError, ValidationError
+from .errors import DomainError, NumericalError, ValidationError
 from .fileio import BAR, ScenarioSpec, make_boundary_control
 from .network import NetworkGraph, NodeId
-from .observer import CoupledState, ObserverConfig, SimState, step_coupled, step_system
-from .solver import Layout, build_grids
+from .observer import CoupledState, ObserverConfig, step_coupled
+from .solver import Layout, SimState, build_grids, step_system
 
 
 @dataclass
@@ -87,12 +87,15 @@ def _initial_state(graph: NetworkGraph, scenario: ScenarioSpec, dt: float, which
         raise ValidationError(f"initial condition for unknown pipe(s): {sorted(unknown)}")
     for pid, g in grids.items():
         ic = scenario.ic_for(which, pid)
+        record = f"ic {which} {ic.kind}" if pid in table else "rest_pressure"
+        where = f"pipe {pid!r}: {record} (p_base {ic.p_base!r} bar, h {ic.h!r} bar, f {ic.f:.6g})"
         p = np.asarray(ic.pressure_bar(g.cell_centers(), g.length)) * BAR
         if not np.isfinite(p).all():  # p_base + h, f pi x or the factor to Pa overflowed
-            record = f"ic {which} {ic.kind}" if pid in table else "rest_pressure"
-            raise ValidationError(f"pipe {pid!r}: {record} (p_base {ic.p_base!r} bar, h {ic.h!r} "
-                                  f"bar, f {ic.f:.6g}) is not finite in Pa")
-        rt = np.asarray(law.rtilde(law.density_from_pressure(p)), dtype=float)
+            raise ValidationError(f"{where} is not finite in Pa")
+        try:
+            rt = np.asarray(law.rtilde(law.density_from_pressure(p)), dtype=float)
+        except DomainError as exc:
+            raise DomainError(f"{where}: {exc}") from None
         g.r_plus[:] = rt  # zero initial velocity: R+ = R- = Rt(rho)
         g.r_minus[:] = rt
     return SimState(grids=grids, dt=dt, step_index=0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Dict, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -227,14 +227,19 @@ class Layout:
         return np.concatenate([g.r_plus for g in gs]), np.concatenate([g.r_minus for g in gs])
 
 
+def truth_friction(pipe: PipeSpec, grid: EdgeGrid, dt: float) -> Tuple[ArrayLike, ArrayLike]:
+    """The friction rule of the truth and observer systems: `friction_step`."""
+    return friction_step(grid.r_plus, grid.r_minus, pipe.nu, dt)
+
+
 def transport(
     state: SimState,
     graph: NetworkGraph,
     node_outs: Mapping[NodeId, Mapping[PipeId, float]],
-    friction: Callable[[PipeSpec, EdgeGrid], Tuple[np.ndarray, np.ndarray]],
+    friction: Callable[[PipeSpec, EdgeGrid, float], Tuple[ArrayLike, ArrayLike]],
 ) -> SimState:
     """Advect every edge with the node outputs as ghost inflows, then replace
-    (R+, R-) by `friction(pipe, grid)` on pipes with nu > 0."""
+    (R+, R-) by `friction(pipe, grid, dt)` on pipes with nu > 0."""
     grids: Dict[PipeId, EdgeGrid] = {}
     for p in graph.pipes:
         g = advect_step(
@@ -243,7 +248,7 @@ def transport(
             inflow_minus=node_outs[p.to_node][p.id],
         )
         if p.nu > 0.0:
-            g.r_plus, g.r_minus = friction(p, g)
+            g.r_plus, g.r_minus = friction(p, g, state.dt)
         grids[p.id] = g
     return SimState(grids=grids, dt=state.dt, step_index=state.step_index + 1)
 
@@ -253,24 +258,17 @@ def step_system(
     graph: NetworkGraph,
     controls: Mapping[NodeId, Control],
     gains: Mapping[NodeId, float],
-    node_outs: Optional[Mapping[NodeId, Mapping[PipeId, float]]] = None,
 ) -> SimState:
     """Advance the truth system by one tick.
 
     Order per tick: one pass over `graph.node_plan` reads the node-adjacent
-    cells of the previous step and evaluates the node maps, every edge is
-    advected with those outputs as ghost inflows, then the friction step
-    applies cellwise.  `node_outs` lets a
-    caller inject precomputed node outputs (the coupled stepper does this so
-    both systems share one measurement snapshot).
+    cells of the previous step and evaluates the node maps, then `transport`
+    advects every edge with those outputs as ghost inflows and applies
+    `truth_friction` cellwise.
     """
-    if node_outs is None:
-        node_outs = {}
-        for n in graph.node_plan(controls, gains):
-            gain = None if n.control is None else (n.mu, n.control(state.t))
-            node_outs[n.node] = junction_outflow(graph.incoming(n.node, state.grids),
-                                                 n.diameters, gain)
-    dt = state.dt
-    return transport(
-        state, graph, node_outs, lambda p, g: friction_step(g.r_plus, g.r_minus, p.nu, dt)
-    )
+    node_outs = {}
+    for n in graph.node_plan(controls, gains):
+        gain = None if n.control is None else (n.mu, n.control(state.t))
+        node_outs[n.node] = junction_outflow(graph.incoming(n.node, state.grids),
+                                             n.diameters, gain)
+    return transport(state, graph, node_outs, truth_friction)

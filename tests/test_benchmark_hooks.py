@@ -8,14 +8,23 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+REPO = Path(__file__).resolve().parent.parent
+TRACING = REPO / "perfbench" / "tracing.py"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _tracing():
+    return _load("perfbench_tracing", TRACING)
+
+
+def _ab_bench():
+    return _load("ab_bench", REPO / "scripts" / "ab_bench.py")
 
 
 def test_traced_layer_functions_resolve():
@@ -42,10 +51,7 @@ def test_setup_timing_hooks_are_module_attributes(mod, attr):
 
 
 def test_ab_bench_summary_counts_wins_by_each_metrics_direction():
-    path = Path(__file__).resolve().parent.parent / "scripts" / "ab_bench.py"
-    spec = importlib.util.spec_from_file_location("ab_bench", path)
-    ab = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ab)
+    ab = _ab_bench()
 
     def run(cpu, rate):
         return {"metrics": {"w.cpu_s": {"value": cpu, "unit": "s"},
@@ -67,11 +73,25 @@ def test_ab_bench_summary_counts_wins_by_each_metrics_direction():
     assert cpu["beyond_parent_iqr"] and not rate["beyond_parent_iqr"]
 
 
+def test_ab_bench_lists_each_run_that_is_not_correct_or_has_failed_operations():
+    ab = _ab_bench()
+
+    def run(correct=True, failed=0, problems=()):
+        return {"correct": correct, "attempted": 4, "failed": failed,
+                "problem_lines": list(problems)}
+
+    good = {"parent": [run(), run()], "change": [run(), run()]}
+    assert ab.bad_runs(good) == []
+    bad = {"parent": [run(), run(failed=1)],
+           "change": [run(correct=False, problems=["w  PROBLEM: 6 of 7 files identical"]),
+                      run()]}
+    assert ab.bad_runs(bad) == [
+        "parent pair 2: correct=True failed=1 of 4",
+        "change pair 1: correct=False failed=0 of 4\n  w  PROBLEM: 6 of 7 files identical"]
+
+
 def test_ab_bench_counts_source_lines_as_wc_does(tmp_path):
-    path = Path(__file__).resolve().parent.parent / "scripts" / "ab_bench.py"
-    spec = importlib.util.spec_from_file_location("ab_bench", path)
-    ab = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ab)
+    ab = _ab_bench()
 
     pkg = tmp_path / "src" / "gasnetsim"
     pkg.mkdir(parents=True)
@@ -81,7 +101,6 @@ def test_ab_bench_counts_source_lines_as_wc_does(tmp_path):
     (pkg / "data").mkdir()
     (pkg / "data" / "c.py").write_text("nested\n")  # *.py does not descend
     assert ab.source_lines(tmp_path) == 3
-    repo = path.parent.parent
-    wc = subprocess.run("wc -l src/gasnetsim/*.py", shell=True, cwd=repo, check=True,
+    wc = subprocess.run("wc -l src/gasnetsim/*.py", shell=True, cwd=REPO, check=True,
                         capture_output=True, text=True).stdout.splitlines()[-1].split()
-    assert wc[-1] == "total" and ab.source_lines(repo) == int(wc[0])
+    assert wc[-1] == "total" and ab.source_lines(REPO) == int(wc[0])

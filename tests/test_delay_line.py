@@ -16,10 +16,9 @@ from gasnetsim.diagnostics import lyapunov_l0
 from gasnetsim.fileio import bundled_path, parse_network_file, parse_scenario
 from gasnetsim.network import NetworkGraph, PipeSpec, junction_outflow
 from gasnetsim.observer import (CoupledState, ObserverConfig, difference_state,
-                                diff_junction_outflow, direct_diff_step, step_coupled,
-                                step_system)
+                                diff_junction_outflow, direct_diff_step, step_coupled)
 from gasnetsim.run import assemble, run_truth
-from gasnetsim.solver import SimState, build_grids
+from gasnetsim.solver import SimState, build_grids, step_system
 
 
 def truth_map(graph, controls, mu, dt):

@@ -85,26 +85,29 @@ NETWORKS = st.tuples(
       + "\n")
 
 
-def exit_code(command, network, records, bounds=()):
-    """The exit code of `command` on `network` and `t_end 3` plus `records`;
-    on exit 0, every CSV written is UTF-8 with rows as wide as its header."""
+def exit_code(command, network, records, options=()):
+    """The exit code of `command` with `options` on `network` and `t_end 3`
+    plus `records`: 0, 2 or 3.  Exit 2 prints exactly one `error:` line, and
+    exits 2 and 3 leave --out empty; on exit 0, every CSV written is UTF-8
+    with rows as wide as its header."""
     with tempfile.TemporaryDirectory() as tmp:
-        net, scn = Path(tmp, "net.net"), Path(tmp, "run.scn")
+        net, scn, out = Path(tmp, "net.net"), Path(tmp, "run.scn"), Path(tmp, "out")
         net.write_text(network, encoding="utf-8")
         scn.write_text("\n".join(["t_end 3", *records]) + "\n")  # a few steps unless overridden
-        argv = [command, "--network", str(net), "--scenario", str(scn),
-                "--out", str(Path(tmp, "out"))]
-        if command == "certify":
-            argv += bounds
-        try:
-            code = run_cli(argv)
-        except SystemExit as exc:  # argparse's usage error
-            return exc.code
-        if code == 0:
-            for path in Path(tmp, "out").rglob("*.csv"):
-                with path.open(encoding="utf-8", newline="") as fh:
-                    header, *rows = csv.reader(fh)
-                assert all(len(row) == len(header) for row in rows), path.name
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = run_cli([command, "--network", str(net), "--scenario", str(scn),
+                            "--out", str(out), *options])
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert len(err.getvalue().splitlines()) == 1
+            assert err.getvalue().startswith("error: ")
+        if code:
+            assert not out.exists() or not any(out.iterdir())
+        for path in out.rglob("*.csv"):
+            with path.open(encoding="utf-8", newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert all(len(row) == len(header) for row in rows), path.name
         return code
 
 
@@ -123,7 +126,7 @@ def exit_code(command, network, records, bounds=()):
 @given(command=st.sampled_from(["observe", "simulate", "certify"]),
        records=st.lists(RECORDS, max_size=6), bounds=BOUNDS)
 def test_fuzzed_scenario_and_bounds_exit_0_2_or_3(command, records, bounds):
-    assert exit_code(command, NETWORK, records, bounds) in (0, 2, 3)
+    exit_code(command, NETWORK, records, bounds if command == "certify" else ())
 
 
 @settings(max_examples=100)
@@ -138,7 +141,7 @@ def test_fuzzed_scenario_and_bounds_exit_0_2_or_3(command, records, bounds):
 @given(command=st.sampled_from(["observe", "simulate", "certify"]), network=NETWORKS,
        records=st.lists(RECORDS, max_size=2))
 def test_fuzzed_network_exit_0_2_or_3(command, network, records):
-    assert exit_code(command, network, records) in (0, 2, 3)
+    exit_code(command, network, records)
 
 
 # The time and stride options, in the `=` form: argparse reads a value with a
@@ -161,23 +164,58 @@ OPTIONS = st.one_of(
 @given(case=OPTIONS)
 def test_fuzzed_options_exit_0_2_or_3_with_one_error_line_and_no_output(case):
     command, options = case
-    with tempfile.TemporaryDirectory() as tmp:
-        net, scn, out = Path(tmp, "net.net"), Path(tmp, "run.scn"), Path(tmp, "out")
-        net.write_text(NETWORK, encoding="utf-8")
-        scn.write_text("t_end 3\n")
-        err = io.StringIO()
-        with redirect_stderr(err):
-            try:
-                code = run_cli([command, "--network", str(net), "--scenario", str(scn),
-                                "--out", str(out), *options])
-            except SystemExit as exc:  # argparse's usage error: `prog: error: ...`
-                code = exc.code
-                assert code == 2 and len([ln for ln in err.getvalue().splitlines()
-                                          if ": error: " in ln]) == 1
-            else:
-                assert code in (0, 2, 3)
-                if code == 2:
-                    assert len(err.getvalue().splitlines()) == 1
-                    assert err.getvalue().startswith("error: ")
-        if code:
-            assert not out.exists() or not any(out.iterdir())
+    exit_code(command, NETWORK, [], options)
+
+
+GASLIB_NS = ' xmlns="http://gaslib.zib.de/Gas" xmlns:framework="http://gaslib.zib.de/Framework"'
+
+
+def xml_child(name, value, unit):
+    """`<name value=".." unit=".."/>` without the attributes that are None."""
+    return f"<{name}" + "".join(f' {k}="{v}"' for k, v in (("value", value), ("unit", unit))
+                                if v is not None) + "/>"
+
+
+def odd_quantity(typical):
+    """One of the units of the `typical` (value, unit) pairs with a value
+    that is extreme, non-numeric or missing (None), or one of their values
+    with an unknown unit.  A typical value never meets another unit of the
+    pairs: 680 km would make a run of minutes."""
+    return st.one_of(
+        st.tuples(st.sampled_from([*EXTREMES, "x", "", "1,5", None]),
+                  st.sampled_from([u for _, u in typical])),
+        st.tuples(st.sampled_from([v for v, _ in typical]), st.sampled_from(["ft", "inch"])))
+
+
+def xml_pipe(pid, ends, length, diameter):
+    """A GasLib `<pipe>` between the two `ends`, with or without its id; half
+    of the time its length and diameter are typical, given as (m, km) and
+    (m, mm) values, each in one of the units that it may have, the unit
+    missing (None) for metres."""
+    lengths = [(length[0], "m"), (length[1], "km"), (length[0], "meter"), (length[0], None)]
+    diameters = [(diameter[0], "m"), (diameter[1], "mm"), (diameter[0], None)]
+    quantities = st.one_of(st.tuples(st.sampled_from(lengths), st.sampled_from(diameters)),
+                           st.tuples(odd_quantity(lengths), odd_quantity(diameters)))
+    from_node, to_node = ends.split()
+    return st.tuples(st.sampled_from([f' id="{pid}"', ""]), quantities).map(
+        lambda v: f'<pipe{v[0]} from="{from_node}" to="{to_node}">'
+                  f'{xml_child("length", *v[1][0])}{xml_child("diameter", *v[1][1])}</pipe>')
+
+
+# The star of NETWORK as a GasLib document, with or without the namespace,
+# sometimes with a connection that is not a plain pipe.
+GASLIB_NETWORKS = st.tuples(
+    st.sampled_from([GASLIB_NS, ""]),
+    xml_pipe("a", "0 1", ("680", "0.68"), ("0.5", "500")),
+    xml_pipe("b", "1 2", ("1020", "1.02"), ("0.6", "600")),
+    xml_pipe("c", "3 1", ("80000", "80"), ("0.4", "400")),
+    st.sampled_from(["", "", '<valve id="v" from="1" to="2"/>',
+                     '<compressorStation id="cs" from="3" to="1"/>']),
+).map(lambda v: f'<?xml version="1.0"?>\n<network{v[0]}><connections>{"".join(v[1:])}'
+      "</connections></network>\n")
+
+
+@settings(max_examples=100)
+@given(network=GASLIB_NETWORKS, records=st.lists(RECORDS, max_size=1))
+def test_fuzzed_gaslib_network_exit_0_2_or_3(network, records):
+    exit_code("simulate", network, records)

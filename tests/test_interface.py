@@ -564,10 +564,27 @@ GASLIB_ONE_PIPE = ('<network><pipe id="{}" from="n1" to="n2"><length value="340"
     ("pipe a n0 n1 340 0.5", "ic R a half_step 1e308 1e308\n", "pipe 'a': ic R half_step"),
     ("pipe a n0 n1 340 0.5", "ic S a constant 1e304\n", "pipe 'a': ic S constant"),
     ("pipe a n0 n1 340 0.5", "rest_pressure 1e304\n", "pipe 'a': rest_pressure (p_base 1e+304"),
+    # initial pressures that the law refuses
+    ("pipe a n0 n1 340 0.5", "ic S a half_step 60 -70\n",
+     "pipe 'a': ic S half_step (p_base 60.0 bar, h -70.0 bar, f 0): isothermal density needs "
+     "positive pressure"),
+    ("pipe a n0 n1 340 0.5", "ic R a constant -1\n", "pipe 'a': ic R constant (p_base -1.0"),
+    ("pipe a n0 n1 340 0.5", "law aga 1e5 -0.01\nic S a constant 200\n",
+     "pipe 'a': ic S constant (p_base 200.0 bar, h 0.0 bar, f 0): pressure outside the AGA "
+     "admissible range"),
+    # boundary pressures that the law refuses, found before the first step
+    ("pipe a n0 n1 340 0.5", "law aga 1e5 -0.01\nboundary n0 0 60 0\nboundary n0 2 200 0\n",
+     "boundary pressure 200.0 bar at pipe 'a': pressure outside the AGA admissible range"),
+    ("pipe a n0 n1 340 0.5", "law aga 1e5 -0.01\nrest_pressure 200\n",
+     "boundary pressure 200.0 bar at pipe 'a': pressure outside the AGA admissible range"),
+    ("pipe a n0 n1 340 0.5", "boundary n0 0 60 0\nboundary n0 0 61 0\n",
+     "boundary n0: schedule breakpoints must be strictly increasing, got [0.0, 0.0]"),
 ], ids=["comma-pipe-id", "comma-node-id", "quoted-pipe-id", "gaslib-newline-id",
         "weight-overflows", "default-dt-underflows", "density-underflows",
         "node-named-default", "pipe-friction-field", "ic-sine-overflows",
-        "ic-step-overflows", "ic-pa-overflows", "rest-pressure-pa-overflows"])
+        "ic-step-overflows", "ic-pa-overflows", "rest-pressure-pa-overflows",
+        "ic-step-negative", "ic-negative", "ic-beyond-aga", "boundary-beyond-aga",
+        "rest-pressure-beyond-aga", "boundary-times-repeat"])
 @pytest.mark.parametrize("command", ["simulate", "observe", "certify"])
 def test_cli_unusable_network_or_boundary_exits_2_and_writes_nothing(tmp_path, capsys, command,
                                                                       network, records,
@@ -578,6 +595,29 @@ def test_cli_unusable_network_or_boundary_exits_2_and_writes_nothing(tmp_path, c
     out = tmp_path / "out"
     code = run_cli([command, "--network", str(net), "--scenario", str(scn), "--out", str(out)])
     assert message in _assert_rejected(code, capsys, out)
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("observe --network {net} --scenario {scn} --out {out} --residual-stride=1.5",
+     "error: argument --residual-stride: invalid int value: '1.5'"),
+    ("certify --network {net} --scenario {scn} --out {out} --m-tilde=x",
+     "error: argument --m-tilde: invalid float value: 'x'"),
+    ("simulate --network {net} --out {out}",
+     "error: the following arguments are required: --scenario"),
+    ("", "error: the following arguments are required: command"),
+], ids=["stride-not-int", "m-tilde-not-float", "no-scenario", "no-command"])
+def test_cli_option_errors_exit_2_with_one_error_line(tmp_path, capsys, argv, message):
+    net, scn = _write_small_inputs(tmp_path)
+    out = tmp_path / "out"
+    code = run_cli(argv.format(net=net, scn=scn, out=out).split())
+    assert _assert_rejected(code, capsys, out) == message
+
+
+def test_cli_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["observe", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gasnetsim observe")
 
 
 @pytest.mark.parametrize("bounds, inf_lines", [
