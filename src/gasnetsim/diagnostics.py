@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,14 +59,16 @@ def snapshot_file_name(t: float) -> str:
     return f"t_{t:g}.csv"
 
 
-def quadrature(plus: np.ndarray, minus: np.ndarray, layout: Layout) -> float:
-    """Sum over pipes of (D^2/2) * dx * sum(plus^2 + minus^2) on that pipe's
-    cells, midpoint rule, over fields packed by `layout`.  One dot per pipe
-    and field, summed in pipe order, so the value does not depend on the
-    packing."""
+def quadrature(fields: Sequence[Tuple[np.ndarray, np.ndarray]],
+               weights: Sequence[float]) -> float:
+    """Sum over pipes of w * sum(plus^2 + minus^2) on that pipe's cells,
+    midpoint rule, with each pipe's (plus, minus) in `fields` and its L0
+    weight w = (D^2/2) * dx in `weights`, as `Layout.views` and
+    `Layout.weights` give them.  One dot per pipe and field, summed in pipe
+    order, so the value does not depend on where the fields are stored, and
+    the sum over the first i pipes is the running total after pipe i."""
     total = 0.0
-    for cells, w in zip(layout.spans, layout.weights):
-        a, b = plus[cells], minus[cells]
+    for (a, b), w in zip(fields, weights):
         total += w * float(np.dot(a, a) + np.dot(b, b))
     return total
 
@@ -74,7 +76,8 @@ def quadrature(plus: np.ndarray, minus: np.ndarray, layout: Layout) -> float:
 def lyapunov_l0(delta_grids: Mapping[PipeId, EdgeGrid], graph: NetworkGraph) -> float:
     """Network error functional: the `quadrature` of (delta_plus, delta_minus)."""
     layout = Layout.of(delta_grids, graph)
-    return quadrature(*layout.pack(delta_grids), layout)
+    return quadrature([(delta_grids[pid].r_plus, delta_grids[pid].r_minus)
+                       for pid in layout.pipes], layout.weights)
 
 
 def lyapunov_l1(prev_grids: Mapping[PipeId, EdgeGrid], next_grids: Mapping[PipeId, EdgeGrid],
@@ -89,9 +92,9 @@ def lyapunov_l1(prev_grids: Mapping[PipeId, EdgeGrid], next_grids: Mapping[PipeI
     if not dt > 0:
         raise ValidationError("lyapunov_l1 needs dt > 0")
     layout = Layout.of(prev_grids, graph)
-    p0, m0 = layout.pack(prev_grids)
-    p1, m1 = layout.pack(next_grids)
-    return quadrature((p1 - p0) / dt, (m1 - m0) / dt, layout)
+    return quadrature([((next_grids[pid].r_plus - prev_grids[pid].r_plus) / dt,
+                        (next_grids[pid].r_minus - prev_grids[pid].r_minus) / dt)
+                       for pid in layout.pipes], layout.weights)
 
 
 def nodal_energy_residual(delta_in: Mapping[PipeId, float], delta_out: Mapping[PipeId, float],
@@ -155,7 +158,8 @@ class RegularityTracker:
         self._prev: Optional[np.ndarray] = None
 
     def observe(self, s_diff: np.ndarray, r_diff: np.ndarray) -> None:
-        """Take S+ - S- and R+ - R- of one step, each packed by `Layout.pack`."""
+        """Take S+ - S- and R+ - R- of one step, each packed in layout order;
+        `s_diff` is kept until the next step, so it must not change."""
         self.m_tilde = max(self.m_tilde, float(np.abs(s_diff).max()), float(np.abs(r_diff).max()))
         if self._prev is not None:
             # max(x)/dt == max(x/dt): one division per step

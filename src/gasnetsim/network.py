@@ -118,18 +118,11 @@ def boundary_outflow(mu: float, u: float, r_in: float) -> float:
     return (1.0 - mu) * u + mu * r_in
 
 
-def end_cell(grid, at_to: bool) -> float:
-    """The invariant a node reads from a pipe's grid: R+ at x = L if the node
-    is the pipe's to_node (`at_to`), R- at x = 0 otherwise."""
-    return grid.r_plus.item(-1) if at_to else grid.r_minus.item(0)
-
-
 class PlanNode(NamedTuple):
     """The per-run constants of one node map (see `NetworkGraph.node_plan`)."""
 
     node: NodeId
-    reads: Tuple[Tuple[PipeId, bool], ...]  # (pipe, at_to) per pipe end, for `end_cell`
-    diameters: Dict[PipeId, float]
+    diameters: Dict[PipeId, float]  # pipe by pipe in the order of the node's read slots
     mu: Optional[float]  # checked; None at an interior node without a gain
     control: Optional[Callable[[float], float]]  # None at an interior node
 
@@ -137,9 +130,8 @@ class PlanNode(NamedTuple):
 class NetworkGraph:
     """Immutable pipe network with cached incident pipes per node.
 
-    The per-node diameter tables and pipe-end reads are precomputed because
-    every node map uses them on every time step; `omega_v` of a table is
-    memoised.
+    The per-node diameter tables are precomputed because every node map
+    uses them on every time step; `omega_v` of a table is memoised.
     """
 
     def __init__(self, pipes: Sequence[PipeSpec]):
@@ -168,9 +160,6 @@ class NetworkGraph:
         self._check_connected()
         self._diameters: Dict[NodeId, Dict[PipeId, float]] = {
             v: {p.id: p.diameter for p in self._incident[v]} for v in self.nodes
-        }
-        self._reads: Dict[NodeId, Tuple[Tuple[PipeId, bool], ...]] = {
-            v: tuple((p.id, v == p.to_node) for p in self._incident[v]) for v in self.nodes
         }
         self.boundary_nodes: Tuple[NodeId, ...] = tuple(
             v for v in self.nodes if len(self._incident[v]) == 1
@@ -203,10 +192,6 @@ class NetworkGraph:
         except KeyError:
             raise ValidationError(f"unknown node id {v!r}") from None
 
-    def incoming(self, v: NodeId, grids) -> Dict[PipeId, float]:
-        """Node v's incoming invariants in `grids` (pipe id -> EdgeGrid), by `end_cell`."""
-        return {e: end_cell(grids[e], at_to) for e, at_to in self._reads[v]}
-
     def node_plan(
         self, controls: Mapping[NodeId, Callable[[float], float]], gains: Mapping[NodeId, float]
     ) -> Tuple[PlanNode, ...]:
@@ -226,8 +211,7 @@ class NetworkGraph:
                 raise ConfigurationError(f"no boundary gain mu for node {v!r}")
             if mu is not None:
                 check_gain(mu, v)
-            nodes.append(PlanNode(v, self._reads[v], self._diameters[v], mu,
-                                  controls[v] if boundary else None))
+            nodes.append(PlanNode(v, self._diameters[v], mu, controls[v] if boundary else None))
         plan = tuple(nodes)
         self._plan = (controls, gains, dict(controls), dict(gains), plan)
         return plan

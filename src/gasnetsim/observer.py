@@ -13,7 +13,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import ConfigurationError, ValidationError
 from .network import (NetworkGraph, NodeId, PipeId, PipeSpec, boundary_outflow, check_gain,
-                      end_cell, junction_outflow, omega_v)
+                      junction_outflow, omega_v)
 from .solver import (Control, EdgeGrid, SimState, friction_root_shifted, recombine, transport,
                      truth_friction)
 
@@ -125,21 +125,24 @@ def step_coupled(
 
     Both node maps read the previous-step edge states (one shared
     measurement snapshot) and the same control values u(t), then the two
-    systems advance independently.  One pass over `graph.node_plan` gives
+    systems advance independently.  One gather of the read slots per system
+    takes the node-adjacent cells; one pass over `graph.node_plan` gives
     every node's truth map, error map (`error_outflow`) and observer map (as
     `observer_node_update`); one `transport` per system ends the tick.
     """
-    cfg, s, r = cs.config, cs.s_state, cs.r_state
-    s_grids, r_grids, t = s.grids, r.grids, s.t
+    cfg, s, r = cs.config, cs.s_state.packed_on(graph), cs.r_state.packed_on(graph)
+    t = s.t
+    s_ins = iter(s.packed.take(s.layout.read_slots).tolist())
+    r_ins = iter(r.packed.take(r.layout.read_slots).tolist())
     s_out: Dict[NodeId, Dict[PipeId, float]] = {}
     r_out: Dict[NodeId, Dict[PipeId, float]] = {}
     traces: Optional[Dict[NodeId, NodalTrace]] = {} if collect_nodal else None
-    for v, reads, diam, mu, control in graph.node_plan(cfg.controls, cfg.mu):
+    for v, diam, mu, control in graph.node_plan(cfg.controls, cfg.mu):
         # One loop over both systems, not a comprehension per system: this
-        # runs per node and step.
+        # runs per node and step.  zip stops at the node's last pipe, before
+        # it takes a value of the next node.
         s_in, d_in = {}, {}
-        for e, at_to in reads:
-            x, y = end_cell(s_grids[e], at_to), end_cell(r_grids[e], at_to)
+        for e, x, y in zip(diam, s_ins, r_ins):
             s_in[e], d_in[e] = x, y - x
         if mu is None:
             raise ConfigurationError(f"no gain mu for node {v!r}")
@@ -185,16 +188,18 @@ def direct_diff_step(
                 "truth state must already be advanced by one step "
                 f"(got {s_new.step_index}, expected {d_state.step_index + 1})"
             )
+    d_state = d_state.packed_on(graph)
+    ins = iter(d_state.packed.take(d_state.layout.read_slots).tolist())
     outs = {}
     for v in graph.nodes:
         check_gain(mu[v], v)
-        outs[v] = error_outflow(graph.incoming(v, d_state.grids), graph.diameters_at(v), mu[v])
+        diam = graph.diameters_at(v)
+        outs[v] = error_outflow(dict(zip(diam, ins)), diam, mu[v])
 
-    def shifted_friction(p: PipeSpec, g: EdgeGrid, dt: float):
+    def shifted_friction(p: PipeSpec, g: EdgeGrid, dt: float) -> None:
         sg = s_new.grids[p.id]
-        frozen = sg.r_plus - sg.r_minus  # spent after the root: recombine's work array
-        d = friction_root_shifted(g.r_plus - g.r_minus, frozen, 2.0 * dt * p.nu)
-        return recombine(g.r_plus + g.r_minus, d, frozen)
+        d = friction_root_shifted(g.r_plus - g.r_minus, sg.r_plus - sg.r_minus, 2.0 * dt * p.nu)
+        recombine(g.r_plus + g.r_minus, d, g.r_plus, g.r_minus)
 
     return transport(d_state, graph, outs, shifted_friction)
 

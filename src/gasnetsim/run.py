@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from .diagnostics import (LyapunovSeries, RegularityTracker, SnapshotFrame, noda
                           quadrature, snapshot_file_name)
 from .errors import DomainError, NumericalError, ValidationError
 from .fileio import BAR, ScenarioSpec, make_boundary_control
-from .network import NetworkGraph, NodeId
+from .network import NetworkGraph, NodeId, PipeId
 from .observer import CoupledState, ObserverConfig, step_coupled
 from .solver import Layout, SimState, build_grids, step_system
 
@@ -27,8 +27,8 @@ class Assembled:
     n_steps: int
     mu: Dict[NodeId, float]
     config: ObserverConfig
-    s_state: SimState
-    r_state: SimState
+    s_state: SimState  # packed on `layout`
+    r_state: SimState  # packed on `layout`
     layout: Layout  # of both states, with one finite L0 weight per pipe
 
 
@@ -75,7 +75,8 @@ def assemble(graph: NetworkGraph, scenario: ScenarioSpec) -> Assembled:
         if not math.isfinite(w):
             raise ValidationError(f"pipe {p.id!r}: diameter {p.diameter!r} m gives an L0 "
                                   f"weight of {w!r}")
-    return Assembled(eff_graph, dt, n_steps, mu, config, s_state, r_state, layout)
+    return Assembled(eff_graph, dt, n_steps, mu, config, layout.packed_state(s_state),
+                     layout.packed_state(r_state), layout)
 
 
 def _initial_state(graph: NetworkGraph, scenario: ScenarioSpec, dt: float, which: str) -> SimState:
@@ -127,14 +128,39 @@ def _snapshot_steps(times: Sequence[float], dt: float, n: int) -> List[int]:
     return steps
 
 
+def _bad_pipe(layout: Layout, plus: np.ndarray, minus: np.ndarray) -> Optional[PipeId]:
+    """The pipe of the first cell where `plus` or `minus` is not finite, None
+    if every cell is finite."""
+    bad = np.flatnonzero(~(np.isfinite(plus) & np.isfinite(minus)))
+    if not bad.size:
+        return None
+    # the pipe after every span ending before the first bad cell
+    return layout.pipes[sum(cells.stop <= bad[0] for cells in layout.spans)]
+
+
 def _finite(frame: SnapshotFrame) -> SnapshotFrame:
     """`frame` if it is finite: every node map multiplies its inputs, so a non-finite
     value never leaves the state again and the recorded frames show every blow-up."""
-    bad = np.flatnonzero(~(np.isfinite(frame.plus) & np.isfinite(frame.minus)))
-    if bad.size:  # the pipe of the first bad cell: the one after every span ending before it
-        pid = frame.layout.pipes[sum(cells.stop <= bad[0] for cells in frame.layout.spans)]
+    pid = _bad_pipe(frame.layout, frame.plus, frame.minus)
+    if pid is not None:
         raise NumericalError(f"simulation blew up: pipe {pid} is not finite at t={frame.t}")
     return frame
+
+
+def _l0_failure(cs: CoupledState, delta: Sequence[Tuple[np.ndarray, np.ndarray]],
+                layout: Layout) -> NumericalError:
+    """The error for an L0 that is not finite: the system and pipe of the first
+    cell that is not, truth first, else the pipe at whose term L0's running
+    sum over the per-pipe `delta` views stopped being finite."""
+    for name, state in (("truth", cs.s_state), ("observer", cs.r_state)):
+        pid = _bad_pipe(layout, *state.packed)
+        if pid is not None:
+            return NumericalError(f"simulation blew up: pipe {pid} of the {name} system is "
+                                  f"not finite at t={cs.t}")
+    i = next(i for i in range(len(delta))
+             if not math.isfinite(quadrature(delta[:i + 1], layout.weights[:i + 1])))
+    return NumericalError(f"L0 overflowed at t={cs.t} in the term of pipe {layout.pipes[i]}, "
+                          "with every cell of both systems finite")
 
 
 def run_observer_pair(
@@ -162,7 +188,10 @@ def run_observer_pair(
     snapshots: List[SnapshotFrame] = []
     net, dt, layout = asm.graph, asm.dt, asm.layout
     tracker = RegularityTracker(dt)
-    prev_dp = prev_dm = None
+    # delta = R - S of this step and the last, and L1's quotient, each in a
+    # pair made once with its per-pipe views; the two deltas swap every step.
+    delta, prev, (q, q_views) = [(pair, layout.views(pair)) for pair in
+                                 (np.empty_like(asm.s_state.packed) for _ in range(3))]
     for k in range(n + 1):
         if k > 0:
             collect = residual_stride > 0 and (k - 1) % residual_stride == 0
@@ -170,20 +199,20 @@ def run_observer_pair(
             for v, tr in (traces or {}).items():
                 res = nodal_energy_residual(tr.delta_in, tr.delta_out, tr.mu, net.diameters_at(v))
                 residuals.append(((k - 1) * dt, v, res))
-        # Both systems packed once per step; every diagnostic reads these arrays.
-        sp, sm = layout.pack(cs.s_state.grids)
-        rp, rm = layout.pack(cs.r_state.grids)
-        dp, dm = rp - sp, rm - sm
+        s, r, (d, d_views) = cs.s_state.packed, cs.r_state.packed, delta
+        np.subtract(r, s, out=d)
         times[k] = cs.t
-        l0[k] = quadrature(dp, dm, layout)
+        l0[k] = quadrature(d_views, layout.weights)
         if not math.isfinite(l0[k]):
-            raise NumericalError(f"simulation blew up: L0 is not finite at t={cs.t}")
+            raise _l0_failure(cs, d_views, layout)
         if l1 is not None and k > 0:
-            l1[k - 1] = quadrature((dp - prev_dp) / dt, (dm - prev_dm) / dt, layout)
-        prev_dp, prev_dm = dp, dm
-        tracker.observe(sp - sm, rp - rm)
+            np.subtract(d, prev[0], out=q)
+            q /= dt
+            l1[k - 1] = quadrature(q_views, layout.weights)
+        tracker.observe(s[0] - s[1], r[0] - r[1])
         if k in snap_steps:
-            snapshots.append(SnapshotFrame(cs.t, layout, dp, dm))
+            snapshots.append(SnapshotFrame(cs.t, layout, *d.copy()))  # d is written again
+        delta, prev = prev, delta
 
     series = LyapunovSeries(times=times, l0=l0, l1=l1)
     return RunResult(

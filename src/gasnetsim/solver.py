@@ -10,9 +10,9 @@ tolerances anywhere in the kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
-from typing import Callable, Dict, Mapping, Tuple, Union
+from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -57,15 +57,30 @@ class EdgeGrid:
 
 @dataclass
 class SimState:
-    """All edge grids plus the simulation clock (t = step_index * dt)."""
+    """All edge grids plus the simulation clock (t = step_index * dt).
+
+    A packed state also holds its `layout` and the (2, cells) array `packed`
+    of R+ (row 0) and R- (row 1) in layout order, which every grid views.
+    The step functions step packed states only; one made from bare grids is
+    packed once, by `packed_on`, where it enters them.
+    """
 
     grids: Dict[PipeId, EdgeGrid]
     dt: float
     step_index: int = 0
+    layout: Optional["Layout"] = None
+    packed: Optional[np.ndarray] = None
 
     @property
     def t(self) -> float:
         return self.step_index * self.dt
+
+    def packed_on(self, graph: NetworkGraph) -> "SimState":
+        """This state if it is packed on a layout of `graph`, else a packed
+        copy of it on a new one."""
+        if self.layout is not None and self.layout.graph is graph:
+            return self
+        return Layout.of(self.grids, graph).packed_state(self)
 
 
 def build_grids(graph: NetworkGraph, c: float, dt: float,
@@ -112,8 +127,10 @@ def build_grids(graph: NetworkGraph, c: float, dt: float,
     return grids
 
 
-def advect_step(grid: EdgeGrid, inflow_plus: float, inflow_minus: float) -> EdgeGrid:
-    """One upwind transport step.
+def advect_step(grid: EdgeGrid, inflow_plus: float, inflow_minus: float,
+                out=None) -> EdgeGrid:
+    """One upwind transport step, into new fields or into `out`, a pair of
+    cell arrays that does not overlap the grid's fields.
 
     r_plus moves rightwards with ghost value inflow_plus at x = 0, r_minus
     moves leftwards with ghost value inflow_minus at x = L.  At cfl = 1 the
@@ -121,8 +138,7 @@ def advect_step(grid: EdgeGrid, inflow_plus: float, inflow_minus: float) -> Edge
     """
     lam = grid.cfl
     p, m = grid.r_plus, grid.r_minus
-    new_p = np.empty_like(p)
-    new_m = np.empty_like(m)
+    new_p, new_m = (np.empty_like(p), np.empty_like(m)) if out is None else out
     new_p[0] = inflow_plus
     new_p[1:] = p[:-1]
     new_m[-1] = inflow_minus
@@ -170,20 +186,22 @@ def friction_root_shifted(d_star: ArrayLike, d_frozen: ArrayLike, a: float) -> A
     return friction_root(rhs, a) - d_frozen
 
 
-def recombine(s: np.ndarray, d: np.ndarray, work: np.ndarray) -> Tuple[ArrayLike, ArrayLike]:
-    """((s + d) / 2, (s - d) / 2) into `work` and over `s`; x * 0.5 has the bits of x / 2."""
-    np.add(s, d, work)
-    work *= 0.5
-    s -= d
-    s *= 0.5
-    return (work, s) if s.ndim else (work[()], s[()])  # scalars in, scalars out
+def recombine(s: np.ndarray, d: np.ndarray, plus: np.ndarray, minus: np.ndarray) -> None:
+    """(s + d) / 2 into `plus` and (s - d) / 2 into `minus`, which may be `s`;
+    x * 0.5 has the bits of x / 2."""
+    np.add(s, d, plus)
+    plus *= 0.5
+    np.subtract(s, d, minus)
+    minus *= 0.5
 
 
-def friction_step(r_plus, r_minus, nu: float, dt: float):
+def friction_step(r_plus, r_minus, nu: float, dt: float, out=None):
     """Implicit Euler step of the friction source on (R+, R-).
 
     Preserves the sum R+ + R- and contracts the difference.  Works on
-    scalars (as 0-d arrays) and on whole cell arrays, in three new arrays.
+    scalars (as 0-d arrays) and on whole cell arrays, in three new arrays;
+    with `out`, a pair of cell arrays, the result is written there and
+    only there (`out` may be the inputs themselves).
     """
     if not nu >= 0:
         raise ValidationError("friction_step needs nu >= 0")
@@ -191,66 +209,97 @@ def friction_step(r_plus, r_minus, nu: float, dt: float):
         raise ValidationError("friction_step needs dt > 0")
     a = 2.0 * dt * nu
     if a == 0.0:
-        return r_plus, r_minus
+        if out is None:
+            return r_plus, r_minus
+        out[0][...], out[1][...] = r_plus, r_minus
+        return out
     s = np.add(r_plus, r_minus, out=...)
     d = np.subtract(r_plus, r_minus, out=...)
-    return recombine(s, d, _root_in_place(d, a))
+    work = _root_in_place(d, a)
+    plus, minus = (work, s) if out is None else out
+    recombine(s, d, plus, minus)
+    return (plus, minus) if plus.ndim else (plus[()], minus[()])  # scalars in, scalars out
 
 
 @dataclass(frozen=True, eq=False)
 class Layout:
-    """Where every pipe's cells sit in the packed R+ and R- arrays, built once
-    per run from the grids: the one place that fixes the packed order.
+    """Where every pipe's cells sit in the packed R+ and R- arrays of one
+    graph, built once per run from the grids: the one place that fixes the
+    packed order.
 
     Pipes follow `graph.pipes`; `spans[i]` holds pipe `pipes[i]`'s cells,
     `weights[i]` is its L0 weight (D^2/2) * dx and `x` the packed cell centres.
+    `read_slots` holds, node by node in `graph.nodes` order and pipe end by
+    pipe end in `graph.diameters_at` order, the flat index into a (2, cells)
+    pair of the cell the node reads: R+ at x = L of a pipe the node ends,
+    R- at x = 0 otherwise.
     """
 
+    graph: NetworkGraph
     pipes: Tuple[PipeId, ...]
     spans: Tuple[slice, ...]
     weights: Tuple[float, ...]
     x: np.ndarray
+    read_slots: np.ndarray
 
     @classmethod
     def of(cls, grids: Mapping[PipeId, EdgeGrid], graph: NetworkGraph) -> "Layout":
         gs = [grids[p.id] for p in graph.pipes]
         stops = accumulate(g.n_cells for g in gs)
+        spans = tuple(slice(stop - g.n_cells, stop) for g, stop in zip(gs, stops))
         x = np.concatenate([g.cell_centers() for g in gs])
         x.flags.writeable = False
-        return cls(tuple(p.id for p in graph.pipes),
-                   tuple(slice(stop - g.n_cells, stop) for g, stop in zip(gs, stops)),
-                   tuple(0.5 * p.diameter ** 2 * g.dx for p, g in zip(graph.pipes, gs)), x)
+        cells = dict(zip((p.id for p in graph.pipes), spans))
+        slots = np.array([cells[p.id].stop - 1 if v == p.to_node else len(x) + cells[p.id].start
+                          for v in graph.nodes for p in graph.incident_pipes(v)], dtype=np.intp)
+        slots.flags.writeable = False
+        return cls(graph, tuple(cells), spans,
+                   tuple(0.5 * p.diameter ** 2 * g.dx for p, g in zip(graph.pipes, gs)), x, slots)
 
     def pack(self, grids: Mapping[PipeId, EdgeGrid]) -> Tuple[np.ndarray, np.ndarray]:
         """R+ and R- of every pipe, each concatenated in layout order."""
         gs = [grids[pid] for pid in self.pipes]
         return np.concatenate([g.r_plus for g in gs]), np.concatenate([g.r_minus for g in gs])
 
+    def views(self, pair: np.ndarray) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+        """Every pipe's (R+, R-) views into a (2, cells) `pair`, in layout order."""
+        plus, minus = pair
+        return tuple((plus[cells], minus[cells]) for cells in self.spans)
 
-def truth_friction(pipe: PipeSpec, grid: EdgeGrid, dt: float) -> Tuple[ArrayLike, ArrayLike]:
-    """The friction rule of the truth and observer systems: `friction_step`."""
-    return friction_step(grid.r_plus, grid.r_minus, pipe.nu, dt)
+    def packed_state(self, state: SimState) -> SimState:
+        """`state` packed on this layout: its fields copied into one new pair
+        that its grids, copied too, view."""
+        pair = np.array(self.pack(state.grids))
+        grids = {pid: replace(state.grids[pid], r_plus=plus, r_minus=minus)
+                 for pid, (plus, minus) in zip(self.pipes, self.views(pair))}
+        return SimState(grids, state.dt, state.step_index, self, pair)
+
+
+def truth_friction(pipe: PipeSpec, grid: EdgeGrid, dt: float) -> None:
+    """The friction rule of the truth and observer systems: `friction_step`,
+    over the grid's own fields."""
+    friction_step(grid.r_plus, grid.r_minus, pipe.nu, dt, (grid.r_plus, grid.r_minus))
 
 
 def transport(
     state: SimState,
     graph: NetworkGraph,
     node_outs: Mapping[NodeId, Mapping[PipeId, float]],
-    friction: Callable[[PipeSpec, EdgeGrid, float], Tuple[ArrayLike, ArrayLike]],
+    friction: Callable[[PipeSpec, EdgeGrid, float], None],
 ) -> SimState:
-    """Advect every edge with the node outputs as ghost inflows, then replace
-    (R+, R-) by `friction(pipe, grid, dt)` on pipes with nu > 0."""
+    """Advect every edge of the packed `state` into its views of a new pair,
+    with the node outputs as ghost inflows, then on pipes with nu > 0 let
+    `friction(pipe, grid, dt)` overwrite the new grid's fields.  `state` is
+    left as it was."""
+    pair = np.empty_like(state.packed)
     grids: Dict[PipeId, EdgeGrid] = {}
-    for p in graph.pipes:
-        g = advect_step(
-            state.grids[p.id],
-            inflow_plus=node_outs[p.from_node][p.id],
-            inflow_minus=node_outs[p.to_node][p.id],
-        )
+    for p, out in zip(graph.pipes, state.layout.views(pair)):
+        g = advect_step(state.grids[p.id], node_outs[p.from_node][p.id],
+                        node_outs[p.to_node][p.id], out)
         if p.nu > 0.0:
-            g.r_plus, g.r_minus = friction(p, g, state.dt)
+            friction(p, g, state.dt)
         grids[p.id] = g
-    return SimState(grids=grids, dt=state.dt, step_index=state.step_index + 1)
+    return SimState(grids, state.dt, state.step_index + 1, state.layout, pair)
 
 
 def step_system(
@@ -261,14 +310,17 @@ def step_system(
 ) -> SimState:
     """Advance the truth system by one tick.
 
-    Order per tick: one pass over `graph.node_plan` reads the node-adjacent
-    cells of the previous step and evaluates the node maps, then `transport`
-    advects every edge with those outputs as ghost inflows and applies
+    Order per tick: one gather of the layout's read slots takes the
+    node-adjacent cells of the previous step, one pass over
+    `graph.node_plan` evaluates the node maps, then `transport` advects
+    every edge with those outputs as ghost inflows and applies
     `truth_friction` cellwise.
     """
+    state = state.packed_on(graph)
+    ins = iter(state.packed.take(state.layout.read_slots).tolist())
     node_outs = {}
     for n in graph.node_plan(controls, gains):
         gain = None if n.control is None else (n.mu, n.control(state.t))
-        node_outs[n.node] = junction_outflow(graph.incoming(n.node, state.grids),
-                                             n.diameters, gain)
+        # zip stops at the node's last pipe, before it takes another value
+        node_outs[n.node] = junction_outflow(dict(zip(n.diameters, ins)), n.diameters, gain)
     return transport(state, graph, node_outs, truth_friction)

@@ -332,6 +332,35 @@ def test_observer_record_equals_per_pipe_references(run):
         assert np.array_equal(frame.minus, np.concatenate([g.r_minus for g in gs]))
 
 
+def test_recorded_frames_and_tracker_inputs_keep_their_values(five_pipe, monkeypatch):
+    """The observer loop reuses its delta arrays from step to step: a frame
+    it returns and the truth difference the tracker keeps for the next step
+    must not change when later steps run."""
+    import gasnetsim.run as run_mod
+
+    handed = []  # (array, its copy when it was handed over)
+
+    class RecordingTracker(RegularityTracker):
+        def observe(self, s_diff, r_diff):
+            handed.append((s_diff, s_diff.copy()))
+            super().observe(s_diff, r_diff)
+
+    def recording_frame(t, layout, plus, minus):
+        handed.extend([(plus, plus.copy()), (minus, minus.copy())])
+        return SnapshotFrame(t, layout, plus, minus)
+
+    monkeypatch.setattr(run_mod, "RegularityTracker", RecordingTracker)
+    monkeypatch.setattr(run_mod, "SnapshotFrame", recording_frame)
+    scenario = ScenarioSpec(theta=0.0137, t_end=5.0, dt=0.5, mu_uniform=0.5,
+                            ic_s={"p2": InitialCondition("half_step", 60.0, 2.0)})
+    result = run_observer_pair(five_pipe, scenario, snapshot_times=[0.5 * k for k in range(11)])
+    assert len(result.snapshots) == 11 and len(handed) == 11 + 2 * 11
+    assert len({id(frame.plus) for frame in result.snapshots}) == 11
+    assert any(frame.plus.any() for frame in result.snapshots)
+    for array, copy in handed:
+        assert array.tobytes() == copy.tobytes()
+
+
 def test_snapshot_frame_from_state(single_pipe):
     grids = build_grids(single_pipe, 340.0, 0.375)
     grids["p"].r_plus[:] = 1.5

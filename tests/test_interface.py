@@ -431,6 +431,56 @@ def test_cli_numerical_error_exit_code(tmp_path, capsys, monkeypatch):
     assert "synthetic blow-up" in capsys.readouterr().err
 
 
+# Three pipes on one node, the first with a diameter whose L0 weight is
+# finite but whose L0 term overflows: every cell stays finite.
+OVERFLOW_NET = "pipe a n0 n1 340 5e152\npipe b n1 n2 680 0.4\npipe c n1 n3 340 0.3\n"
+OVERFLOW_SCN = ("theta 0.02\nt_end 6\ndt 0.5\nmu uniform 0.5\n"
+                "ic S a half_step 60 2\nic R a half_step 60 1\n")
+
+
+@pytest.mark.parametrize("command", [["observe"], ["certify"], ["snapshot", "--times", "0"]])
+def test_l0_overflow_with_finite_cells_names_the_pipe_of_the_term(tmp_path, capsys, command):
+    net, scn = tmp_path / "net.net", tmp_path / "scn.scn"
+    net.write_text(OVERFLOW_NET)
+    scn.write_text(OVERFLOW_SCN)
+    out = tmp_path / "out"
+    code = run_cli([*command, "--network", str(net), "--scenario", str(scn), "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == ("numerical error: L0 overflowed at t=0.0 in the term of "
+                                       "pipe a, with every cell of both systems finite\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["observe"], ["certify"], ["snapshot", "--times", "0"]])
+@pytest.mark.parametrize("system", ["truth", "observer"])
+def test_blow_up_names_the_system_and_pipe_of_the_first_bad_cell(tmp_path, capsys, monkeypatch,
+                                                                  command, system):
+    import gasnetsim.run as run_mod
+
+    net, scn = tmp_path / "net.net", tmp_path / "scn.scn"
+    net.write_text("pipe a n0 n1 340 0.5\npipe q n1 n2 680 0.4\npipe r n1 n3 340 0.3\n")
+    scn.write_text(OVERFLOW_SCN)
+    real = run_mod.step_coupled
+
+    def step_then_spoil(cs, graph, **kwargs):
+        # from t = 1.5 on, R- of pipe q's third cell and R+ of pipe r's
+        # first cell in one system are not finite
+        cs, traces = real(cs, graph, **kwargs)
+        if cs.t >= 1.5:
+            state = cs.r_state if system == "observer" else cs.s_state
+            state.grids["r"].r_plus[0] = math.inf
+            state.grids["q"].r_minus[2] = math.nan
+        return cs, traces
+
+    monkeypatch.setattr(run_mod, "step_coupled", step_then_spoil)
+    out = tmp_path / "out"
+    code = run_cli([*command, "--network", str(net), "--scenario", str(scn), "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == (f"numerical error: simulation blew up: pipe q of the "
+                                       f"{system} system is not finite at t=1.5\n")
+    assert not out.exists()
+
+
 def _blow_up_args(tmp_path: Path):
     # an absurd offtake at node 34 drives the density negative and the state
     # non-finite somewhere away from the first pipe's first cell
@@ -853,9 +903,12 @@ def test_state_csv_domain_error_is_one_line(tmp_path, capsys, monkeypatch, law_n
 
 
 def test_series_and_snapshot_files_equal_per_value_repr(tmp_path):
+    from dataclasses import replace
+
     from gasnetsim.cli import _write_series_csv, _write_snapshots
     from gasnetsim.diagnostics import SnapshotFrame
-    from gasnetsim.solver import Layout
+    from gasnetsim.network import NetworkGraph
+    from gasnetsim.solver import Layout, build_grids
 
     rng = np.random.default_rng(3)
     vals = rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40)
@@ -869,8 +922,10 @@ def test_series_and_snapshot_files_equal_per_value_repr(tmp_path):
     x = {"p": rng.uniform(0.0, 1e3, 30), "q": rng.uniform(0.0, 1e3, 20)}
     dp = {pid: vals[: len(xs)] for pid, xs in x.items()}
     dm = {pid: -vals[-len(xs):] for pid, xs in x.items()}
-    layout = Layout(("p", "q"), (slice(0, 30), slice(30, 50)), (1.0, 1.0),
-                    np.concatenate(list(x.values())))
+    graph = NetworkGraph([PipeSpec("p", "n0", "n1", 30.0, 1.0), PipeSpec("q", "n1", "n2", 20.0, 1.0)])
+    layout = replace(Layout.of(build_grids(graph, 1.0, 1.0), graph),  # 30 and 20 cells
+                     x=np.concatenate(list(x.values())))
+    assert layout.spans == (slice(0, 30), slice(30, 50))
     frame = SnapshotFrame(12.5, layout, np.concatenate(list(dp.values())),
                           np.concatenate(list(dm.values())))
     _write_snapshots(tmp_path, [frame], cols=("r_plus", "r_minus"))

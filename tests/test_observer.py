@@ -53,19 +53,28 @@ def test_decay_eligibility(five_pipe):
     assert upsilon0(five_pipe, mixed) == 0
 
 
+def slot_reads(graph, grids):
+    """Every node's incoming invariants {pipe: value}, read through the
+    read slots of a state packed from `grids`."""
+    state = SimState(grids, dt=0.5).packed_on(graph)
+    vals = iter(state.packed.take(state.layout.read_slots).tolist())
+    return {v: {e: next(vals) for e in graph.diameters_at(v)} for v in graph.nodes}
+
+
 def test_measure_nodal_conventions(single_pipe):
     # the observer measures the truth's incoming invariants at every node
     grids = build_grids(single_pipe, 340.0, 0.375)
     g = grids["p"]
     g.r_plus[:] = np.arange(g.n_cells, dtype=float)
     g.r_minus[:] = -np.arange(g.n_cells, dtype=float)
-    assert single_pipe.incoming("b", grids) == {"p": g.r_plus[-1]}  # x=L end: R+
-    assert single_pipe.incoming("a", grids) == {"p": g.r_minus[0]}  # x=0 end: R-
+    ins = slot_reads(single_pipe, grids)
+    assert ins["b"] == {"p": g.r_plus[-1]}  # x=L end: R+
+    assert ins["a"] == {"p": g.r_minus[0]}  # x=0 end: R-
 
 
 def test_measure_nodal_zero_state(five_pipe):
     grids = build_grids(five_pipe, 340.0, 0.5)
-    assert all(x == 0.0 for v in five_pipe.nodes for x in five_pipe.incoming(v, grids).values())
+    assert all(x == 0.0 for ins in slot_reads(five_pipe, grids).values() for x in ins.values())
 
 
 def test_measure_nodal_interior_out_is_junction_map(five_pipe):
@@ -75,7 +84,7 @@ def test_measure_nodal_interior_out_is_junction_map(five_pipe):
         g.r_plus[:] = rng.uniform(-1, 1, g.n_cells)
         g.r_minus[:] = rng.uniform(-1, 1, g.n_cells)
     state = SimState(grids=grids, dt=0.5)
-    ins = {v: five_pipe.incoming(v, grids) for v in five_pipe.nodes}
+    ins = slot_reads(five_pipe, grids)
     controls = {v: (lambda t: 0.0) for v in five_pipe.boundary_nodes}
     gains = {v: 0.5 for v in five_pipe.nodes}
     plan = {n.node: n for n in five_pipe.node_plan(controls, gains)}
@@ -488,3 +497,61 @@ def test_cfl_safe_coupled_step_with_friction_copies_at_unit_cfl():
     cs = CoupledState(*states, ObserverConfig(mu={"n0": 0.3, "n1": 0.5, "n2": -0.4},
                                               controls=controls))
     assert_coupled_step_equals_per_node_references(graph, cs)
+
+
+def assert_packed(state, graph):
+    """`state` holds one (R+, R-) pair on a layout of `graph`, equal to
+    `Layout.pack` of its grids bit for bit, and every grid array is the
+    view of the pair at the pipe's span."""
+    layout = state.layout
+    assert layout.graph is graph
+    assert state.packed.shape == (2, len(layout.x))
+    assert [a.tobytes() for a in state.packed] == [a.tobytes() for a in layout.pack(state.grids)]
+    for pid, cells in zip(layout.pipes, layout.spans):
+        g = state.grids[pid]
+        for field, view in ((g.r_plus, state.packed[0, cells]), (g.r_minus, state.packed[1, cells])):
+            assert np.shares_memory(field, state.packed)
+            assert field.__array_interface__ == view.__array_interface__
+
+
+def bare_shuffled(state, rng):
+    """`state` as bare copied grids in a shuffled dict order."""
+    items = [(pid, replace(g, r_plus=g.r_plus.copy(), r_minus=g.r_minus.copy()))
+             for pid, g in state.grids.items()]
+    rng.shuffle(items)
+    return SimState(dict(items), state.dt, state.step_index)
+
+
+def assert_same_bits(a, b):
+    assert a.step_index == b.step_index
+    assert a.packed.tobytes() == b.packed.tobytes()
+
+
+@given(coupled_steps(), st.randoms(use_true_random=False))
+def test_every_step_returns_a_packed_state_with_the_bits_of_bare_grids(case, rnd):
+    graph, cs = case
+    mu, controls = cs.config.mu, cs.config.controls
+    packed = CoupledState(cs.s_state.packed_on(graph), cs.r_state.packed_on(graph), cs.config)
+    assert_packed(packed.s_state, graph)
+    bare = CoupledState(bare_shuffled(cs.s_state, rnd), bare_shuffled(cs.r_state, rnd), cs.config)
+    assert packed.s_state.packed_on(graph) is packed.s_state  # converted once only
+    for _ in range(3):
+        before = packed.s_state.packed.copy(), packed.r_state.packed.copy()
+        nxt, _ = step_coupled(packed, graph)
+        from_bare, _ = step_coupled(bare, graph)
+        # the states stepped from are left as they were
+        assert before[0].tobytes() == packed.s_state.packed.tobytes()
+        assert before[1].tobytes() == packed.r_state.packed.tobytes()
+        for got, want in ((nxt.s_state, from_bare.s_state), (nxt.r_state, from_bare.r_state)):
+            assert_packed(got, graph)
+            assert_same_bits(got, want)
+        s_new = step_system(packed.s_state, graph, controls, mu)
+        assert_packed(s_new, graph)
+        assert_same_bits(s_new, nxt.s_state)
+        assert_same_bits(s_new, step_system(bare_shuffled(packed.s_state, rnd), graph, controls, mu))
+        delta = difference_state(packed.r_state, packed.s_state)
+        d_new = direct_diff_step(delta, graph, mu, s_new)
+        assert_packed(d_new, graph)
+        assert_same_bits(d_new, direct_diff_step(bare_shuffled(delta, rnd), graph, mu, s_new))
+        packed, bare = nxt, CoupledState(bare_shuffled(nxt.s_state, rnd),
+                                         bare_shuffled(nxt.r_state, rnd), cs.config)

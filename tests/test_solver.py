@@ -434,4 +434,48 @@ def test_layout_equals_the_per_grid_formulas_bit_for_bit(case):
     per_pipe = sum(0.5 * p.diameter ** 2 * g.dx
                    * float(np.dot(g.r_plus, g.r_plus) + np.dot(g.r_minus, g.r_minus))
                    for p, g in zip(graph.pipes, gs))
-    assert quadrature(plus, minus, layout) == per_pipe
+    views = layout.views(np.array([plus, minus]))
+    assert quadrature(views, layout.weights) == per_pipe
+    for g, (a, b) in zip(gs, views):
+        assert a.tobytes() == g.r_plus.tobytes() and b.tobytes() == g.r_minus.tobytes()
+
+
+@given(layout_cases())
+def test_read_slots_follow_the_end_cell_rule(case):
+    """Node by node and pipe end by pipe end, a read slot indexes R+ at x = L
+    of a pipe the node ends and R- at x = 0 of any other, in the pipe order
+    of `diameters_at`, which the node maps zip the reads with."""
+    graph, grids = case
+    layout = Layout.of(grids, graph)
+    ends = [(v, p) for v in graph.nodes for p in graph.incident_pipes(v)]
+    assert [p.id for _, p in ends] == [e for v in graph.nodes for e in graph.diameters_at(v)]
+    pair = np.array(layout.pack(grids))
+    assert layout.read_slots.shape == (len(ends),) and not layout.read_slots.flags.writeable
+    for slot, (v, p) in zip(layout.read_slots.tolist(), ends):
+        g = grids[p.id]
+        want = g.r_plus.item(-1) if v == p.to_node else g.r_minus.item(0)
+        assert pair.take(slot) == want
+        row, cell = divmod(slot, len(layout.x))
+        cells = layout.spans[layout.pipes.index(p.id)]
+        assert (row, cell) == ((0, cells.stop - 1) if v == p.to_node else (1, cells.start))
+
+
+@given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=12), st.floats(0.0, 1.0),
+       st.floats(0.0, 0.01), st.booleans())
+def test_kernel_writes_into_out_with_the_bits_of_new_arrays(cells, cfl, nu, onto_inputs):
+    grid = make_grid(cells, cells[::-1], cfl=cfl)
+    kept = grid.r_plus.copy(), grid.r_minus.copy()
+    out = np.empty((2, len(cells)))
+    advected = advect_step(grid, 1.5, -2.5, out)
+    want = advect_step(grid, 1.5, -2.5)
+    assert np.shares_memory(advected.r_plus, out[0]) and np.shares_memory(advected.r_minus, out[1])
+    assert out.tobytes() == np.array([want.r_plus, want.r_minus]).tobytes()
+    assert (grid.r_plus.tobytes(), grid.r_minus.tobytes()) == tuple(a.tobytes() for a in kept)
+    # friction_step into a second pair or over its own inputs; nu = 0 is the copy branch
+    ref = np.array(friction_step(out[0], out[1], nu, 0.5))
+    target = out if onto_inputs else np.empty_like(out)
+    before = out.copy()
+    friction_step(out[0], out[1], nu, 0.5, (target[0], target[1]))
+    assert target.tobytes() == ref.tobytes()
+    if not onto_inputs:
+        assert out.tobytes() == before.tobytes()
