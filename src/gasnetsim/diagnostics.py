@@ -103,8 +103,11 @@ def nodal_energy_residual(delta_in: Mapping[PipeId, float], delta_out: Mapping[P
 
     Normalized by the in-sum; defined as 0 when the in-sum vanishes.
     """
-    in_sum = sum(diameters[e] ** 2 * delta_in[e] ** 2 for e in delta_in)
-    out_sum = sum(diameters[e] ** 2 * delta_out[e] ** 2 for e in delta_out)
+    in_sum = out_sum = 0.0  # left folds, as in the node maps
+    for e in delta_in:
+        in_sum += diameters[e] ** 2 * delta_in[e] ** 2
+    for e in delta_out:
+        out_sum += diameters[e] ** 2 * delta_out[e] ** 2
     if in_sum == 0.0:
         return 0.0 if out_sum == 0.0 else math.inf
     return abs(out_sum - mu * mu * in_sum) / in_sum

@@ -72,7 +72,9 @@ def diff_junction_outflow(
     if delta_in.keys() != diameters.keys():
         raise ValidationError("diff_junction_outflow: key mismatch")
     w = omega_v(diameters.values())
-    total = sum(diameters[e] ** 2 * d for e, d in delta_in.items())
+    total = 0.0
+    for e, d in delta_in.items():
+        total += diameters[e] ** 2 * d
     return {e: mu * (w * total - d) for e, d in delta_in.items()}
 
 
@@ -127,15 +129,15 @@ def step_coupled(
     measurement snapshot) and the same control values u(t), then the two
     systems advance independently.  One gather of the read slots per system
     takes the node-adjacent cells; one pass over `graph.node_plan` gives
-    every node's truth map, error map (`error_outflow`) and observer map (as
-    `observer_node_update`); one `transport` per system ends the tick.
+    every node's truth map and observer map (as `observer_node_update`), and
+    its error map (`error_outflow`), which a boundary node needs only for
+    `collect_nodal`; one `transport` per system ends the tick.
     """
     cfg, s, r = cs.config, cs.s_state.packed_on(graph), cs.r_state.packed_on(graph)
     t = s.t
     s_ins = iter(s.packed.take(s.layout.read_slots).tolist())
     r_ins = iter(r.packed.take(r.layout.read_slots).tolist())
-    s_out: Dict[NodeId, Dict[PipeId, float]] = {}
-    r_out: Dict[NodeId, Dict[PipeId, float]] = {}
+    s_out, r_out = [], []  # node outputs in read-slot order, as `transport` takes them
     traces: Optional[Dict[NodeId, NodalTrace]] = {} if collect_nodal else None
     for v, diam, mu, control in graph.node_plan(cfg.controls, cfg.mu):
         # One loop over both systems, not a comprehension per system: this
@@ -146,18 +148,20 @@ def step_coupled(
             s_in[e], d_in[e] = x, y - x
         if mu is None:
             raise ConfigurationError(f"no gain mu for node {v!r}")
-        d_out = error_outflow(d_in, diam, mu)
         if control is None:
-            so = s_out[v] = junction_outflow(s_in, diam)
-            r_out[v] = {e: so[e] + d_out[e] for e in so}
+            d_out = diff_junction_outflow(d_in, diam, mu)
+            so = junction_outflow(s_in, diam).values()
+            s_out += so
+            r_out += [x + d for x, d in zip(so, d_out.values())]
         else:
-            # e, y: the one pipe and the observer's R_in.  The observer keeps
-            # the truth map's boundary form; S_out + mu delta rounds differently.
+            # y: the observer's R_in at the one pipe.  The observer keeps the
+            # truth map's boundary form; S_out + mu delta rounds differently.
             u = control(t)
-            s_out[v] = junction_outflow(s_in, diam, (mu, u))
-            r_out[v] = {e: boundary_outflow(mu, u, y)}
+            s_out += junction_outflow(s_in, diam, (mu, u)).values()
+            r_out.append(boundary_outflow(mu, u, y))
         if traces is not None:
-            traces[v] = NodalTrace(mu, d_in, d_out)
+            traces[v] = NodalTrace(mu, d_in, d_out if control is None
+                                   else error_outflow(d_in, diam, mu))
     return CoupledState(transport(s, graph, s_out, truth_friction),
                         transport(r, graph, r_out, truth_friction), cfg), traces
 
@@ -190,11 +194,11 @@ def direct_diff_step(
             )
     d_state = d_state.packed_on(graph)
     ins = iter(d_state.packed.take(d_state.layout.read_slots).tolist())
-    outs = {}
+    outs = []
     for v in graph.nodes:
         check_gain(mu[v], v)
         diam = graph.diameters_at(v)
-        outs[v] = error_outflow(dict(zip(diam, ins)), diam, mu[v])
+        outs += error_outflow(dict(zip(diam, ins)), diam, mu[v]).values()
 
     def shifted_friction(p: PipeSpec, g: EdgeGrid, dt: float) -> None:
         sg = s_new.grids[p.id]

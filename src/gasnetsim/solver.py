@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import accumulate
-from typing import Callable, Dict, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -232,7 +232,7 @@ class Layout:
     `read_slots` holds, node by node in `graph.nodes` order and pipe end by
     pipe end in `graph.diameters_at` order, the flat index into a (2, cells)
     pair of the cell the node reads: R+ at x = L of a pipe the node ends,
-    R- at x = 0 otherwise.
+    R- at x = 0 otherwise.  `ends[i]` indexes pipe i's (from, to) reads there.
     """
 
     graph: NetworkGraph
@@ -241,6 +241,7 @@ class Layout:
     weights: Tuple[float, ...]
     x: np.ndarray
     read_slots: np.ndarray
+    ends: Tuple[Tuple[int, int], ...]
 
     @classmethod
     def of(cls, grids: Mapping[PipeId, EdgeGrid], graph: NetworkGraph) -> "Layout":
@@ -250,11 +251,14 @@ class Layout:
         x = np.concatenate([g.cell_centers() for g in gs])
         x.flags.writeable = False
         cells = dict(zip((p.id for p in graph.pipes), spans))
+        reads = [(v, p) for v in graph.nodes for p in graph.incident_pipes(v)]
         slots = np.array([cells[p.id].stop - 1 if v == p.to_node else len(x) + cells[p.id].start
-                          for v in graph.nodes for p in graph.incident_pipes(v)], dtype=np.intp)
+                          for v, p in reads], dtype=np.intp)
         slots.flags.writeable = False
+        at = {(v, p.id): k for k, (v, p) in enumerate(reads)}
         return cls(graph, tuple(cells), spans,
-                   tuple(0.5 * p.diameter ** 2 * g.dx for p, g in zip(graph.pipes, gs)), x, slots)
+                   tuple(0.5 * p.diameter ** 2 * g.dx for p, g in zip(graph.pipes, gs)), x, slots,
+                   tuple((at[p.from_node, p.id], at[p.to_node, p.id]) for p in graph.pipes))
 
     def pack(self, grids: Mapping[PipeId, EdgeGrid]) -> Tuple[np.ndarray, np.ndarray]:
         """R+ and R- of every pipe, each concatenated in layout order."""
@@ -284,18 +288,17 @@ def truth_friction(pipe: PipeSpec, grid: EdgeGrid, dt: float) -> None:
 def transport(
     state: SimState,
     graph: NetworkGraph,
-    node_outs: Mapping[NodeId, Mapping[PipeId, float]],
+    outs: Sequence[float],
     friction: Callable[[PipeSpec, EdgeGrid, float], None],
 ) -> SimState:
     """Advect every edge of the packed `state` into its views of a new pair,
-    with the node outputs as ghost inflows, then on pipes with nu > 0 let
-    `friction(pipe, grid, dt)` overwrite the new grid's fields.  `state` is
-    left as it was."""
+    with the node outputs `outs`, one per read slot, at `Layout.ends` as
+    ghost inflows, then on pipes with nu > 0 let `friction(pipe, grid, dt)`
+    overwrite the new grid's fields.  `state` is left as it was."""
     pair = np.empty_like(state.packed)
     grids: Dict[PipeId, EdgeGrid] = {}
-    for p, out in zip(graph.pipes, state.layout.views(pair)):
-        g = advect_step(state.grids[p.id], node_outs[p.from_node][p.id],
-                        node_outs[p.to_node][p.id], out)
+    for p, out, (a, b) in zip(graph.pipes, state.layout.views(pair), state.layout.ends):
+        g = advect_step(state.grids[p.id], outs[a], outs[b], out)
         if p.nu > 0.0:
             friction(p, g, state.dt)
         grids[p.id] = g
@@ -318,9 +321,9 @@ def step_system(
     """
     state = state.packed_on(graph)
     ins = iter(state.packed.take(state.layout.read_slots).tolist())
-    node_outs = {}
+    outs = []
     for n in graph.node_plan(controls, gains):
         gain = None if n.control is None else (n.mu, n.control(state.t))
         # zip stops at the node's last pipe, before it takes another value
-        node_outs[n.node] = junction_outflow(dict(zip(n.diameters, ins)), n.diameters, gain)
-    return transport(state, graph, node_outs, truth_friction)
+        outs += junction_outflow(dict(zip(n.diameters, ins)), n.diameters, gain).values()
+    return transport(state, graph, outs, truth_friction)

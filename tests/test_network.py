@@ -1,10 +1,15 @@
+import json
 import math
+import random
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from gasnetsim.bounds import upsilon0
+from gasnetsim.diagnostics import nodal_energy_residual
 from gasnetsim.errors import ValidationError
 from gasnetsim.network import NetworkGraph, PipeSpec, junction_outflow, omega_v
 from gasnetsim.observer import diff_junction_outflow, observer_node_update
@@ -199,3 +204,96 @@ def test_with_theta(five_pipe):
     assert all(p.nu == 0.0137 / 4 for p in g.pipes)
     # original untouched
     assert all(p.theta == 0.0 for p in five_pipe.pipes)
+
+
+def left_fold(xs):
+    """The sum of `xs` added one by one from 0.0: CPython 3.11's sum() of
+    floats, which from 3.12 on compensates its rounding instead."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
+def bits(xs):
+    return [float(x).hex() for x in xs]
+
+
+def assert_node_map_sums_are_left_folds(pipes, mu):
+    """The node maps, omega_v and the nodal energy residual at a node with
+    (D, R) per pipe in `pipes` sum as a left fold, bit for bit."""
+    ids = [f"e{i}" for i in range(len(pipes))]
+    diam = {e: d for e, (d, _) in zip(ids, pipes)}
+    incoming = {e: r for e, (_, r) in zip(ids, pipes)}
+    w = 2.0 / left_fold(d * d for d in diam.values())
+    total = left_fold(diam[e] ** 2 * r for e, r in incoming.items())
+    out = junction_outflow(incoming, diam)
+    assert bits([omega_v(diam.values())]) == bits([w])
+    assert list(out) == ids and bits(out.values()) == bits(w * total - r for r in incoming.values())
+    err = diff_junction_outflow(incoming, diam, mu)
+    assert bits(err.values()) == bits(mu * (w * total - r) for r in incoming.values())
+    in_sum = left_fold(diam[e] ** 2 * incoming[e] ** 2 for e in ids)
+    out_sum = left_fold(diam[e] ** 2 * err[e] ** 2 for e in ids)
+    want = (0.0 if out_sum == 0.0 else math.inf) if in_sum == 0.0 else \
+        abs(out_sum - mu * mu * in_sum) / in_sum
+    assert bits([nodal_energy_residual(incoming, err, mu, diam)]) == bits([want])
+    return out
+
+
+@given(st.lists(st.tuples(st.floats(0.05, 5.0), st.floats(-1e17, 1e17)), min_size=2,
+                max_size=8),
+       st.floats(-1.0, 1.0))
+def test_node_map_sums_are_left_folds(pipes, mu):
+    assert_node_map_sums_are_left_folds(pipes, mu)
+
+
+def test_cancelling_node_map_sum_is_a_left_fold():
+    # The fold loses the 1.0 and gives 0; a compensated sum gives 1.
+    out = assert_node_map_sums_are_left_folds([(1.0, 1e16), (1.0, 1.0), (1.0, -1e16)], 0.5)
+    assert out == {"e0": -1e16, "e1": -1.0, "e2": 1e16}
+
+
+# Runs gasnetsim.network alone under another interpreter: a stub package
+# module stands in for gasnetsim/__init__.py, so numpy is never imported.
+OTHER_INTERPRETER = """
+import json, sys, types
+pkg = types.ModuleType("gasnetsim")
+pkg.__path__ = [sys.argv[1]]
+sys.modules["gasnetsim"] = pkg
+from gasnetsim.network import junction_outflow, omega_v
+assert "numpy" not in sys.modules
+maps = json.load(sys.stdin)
+print(json.dumps([[repr(omega_v(ds)), [repr(x) for x in junction_outflow(dict(enumerate(rs)),
+                  dict(enumerate(ds))).values()]] for ds, rs in maps]))
+"""
+
+
+def node_map_reprs(maps):
+    return [[repr(omega_v(ds)), [repr(x) for x in junction_outflow(dict(enumerate(rs)),
+             dict(enumerate(ds))).values()]] for ds, rs in maps]
+
+
+def test_node_maps_give_the_same_bits_under_every_interpreter():
+    """Interior node maps and omega_v on a seeded batch give the same reprs
+    under each of python3.12 to python3.14 that starts as in this
+    process: their sums do not depend on how the interpreter's sum() rounds."""
+    rng = random.Random(21)
+    maps = [([rng.uniform(0.3, 1.5) for _ in range(k)], [rng.gauss(0.0, 1e3) for _ in range(k)])
+            for k in (rng.randint(2, 6) for _ in range(20_000))]
+    maps.append(([1.0, 1.0, 1.0], [1e16, 1.0, -1e16]))
+    want = node_map_reprs(maps)
+    package = str(Path(__file__).resolve().parent.parent / "src" / "gasnetsim")
+    ran = []
+    for name in ("python3.12", "python3.13", "python3.14"):
+        try:
+            subprocess.run([name, "-c", "pass"], capture_output=True, check=True, timeout=60)
+        except (OSError, subprocess.SubprocessError):
+            continue  # not installed, or a launcher that finds no interpreter
+        done = subprocess.run([name, "-c", OTHER_INTERPRETER, package], input=json.dumps(maps),
+                              capture_output=True, text=True, check=True, timeout=120)
+        got = json.loads(done.stdout)
+        differ = sum(g != w for g, w in zip(got, want))
+        assert (len(got), differ) == (len(want), 0), f"{name}: {differ} maps differ"
+        ran.append(name)
+    if not ran:
+        pytest.skip("none of python3.12, python3.13 and python3.14 starts")

@@ -436,7 +436,8 @@ def coupled_steps(draw):
 
 def assert_coupled_step_equals_per_node_references(graph, cs):
     """One `step_coupled` against per-node maps and per-pipe `advect_step` +
-    `friction_step`, bit for bit."""
+    `friction_step`, bit for bit; without `collect_nodal` it gives no traces
+    and the same pairs."""
     mu, controls, t, dt = cs.config.mu, cs.config.controls, cs.t, cs.s_state.dt
     nxt, traces = step_coupled(cs, graph, collect_nodal=True)
 
@@ -471,6 +472,10 @@ def assert_coupled_step_equals_per_node_references(graph, cs):
     assert list(traces) == list(graph.nodes)
     for v, tr in traces.items():
         assert (tr.mu, tr.delta_in, tr.delta_out) == (mu[v], d_in[v], d_out[v])
+    untraced, none = step_coupled(cs, graph)
+    assert none is None
+    assert [untraced.s_state.packed.tobytes(), untraced.r_state.packed.tobytes()] == \
+        [nxt.s_state.packed.tobytes(), nxt.r_state.packed.tobytes()]
 
 
 @given(coupled_steps())

@@ -444,7 +444,8 @@ def test_layout_equals_the_per_grid_formulas_bit_for_bit(case):
 def test_read_slots_follow_the_end_cell_rule(case):
     """Node by node and pipe end by pipe end, a read slot indexes R+ at x = L
     of a pipe the node ends and R- at x = 0 of any other, in the pipe order
-    of `diameters_at`, which the node maps zip the reads with."""
+    of `diameters_at`, which the node maps zip the reads with.  `ends[i]`
+    gives the positions among them of pipe i's from_node and to_node reads."""
     graph, grids = case
     layout = Layout.of(grids, graph)
     ends = [(v, p) for v in graph.nodes for p in graph.incident_pipes(v)]
@@ -458,6 +459,9 @@ def test_read_slots_follow_the_end_cell_rule(case):
         row, cell = divmod(slot, len(layout.x))
         cells = layout.spans[layout.pipes.index(p.id)]
         assert (row, cell) == ((0, cells.stop - 1) if v == p.to_node else (1, cells.start))
+    assert len(layout.ends) == len(graph.pipes)
+    for p, (a, b) in zip(graph.pipes, layout.ends):
+        assert (ends[a], ends[b]) == ((p.from_node, p), (p.to_node, p))
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=12), st.floats(0.0, 1.0),
