@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """A/B benchmark: perfbench/run.py on a parent revision and on the working tree.
 
-    python3 scripts/ab_bench.py PARENT_REV [--pairs N] [--workload W] [--seed S]
+    python3 scripts/ab_bench.py PARENT_REV [--pairs N] [--workload W] [--seed S] [--trace]
 
 Both sides are extracted with `git archive` into `.ab_bench/parent/` and
 `.ab_bench/change/` at the repository root: the parent from PARENT_REV, the
@@ -21,8 +21,13 @@ counting for neither), and whether the medians differ by more than the
 distance between the parent's quartiles.  It also prints each side's
 `wc -l src/gasnetsim/*.py`.  The same numbers, each run's result line and
 its seed-0 identity and PROBLEM lines go to `.ab_bench/ab_<W>_seed<S>.json`.
-The script then exits 1 if any run was not correct or had failed
-operations, listing each such run, and 0 otherwise.
+With --trace, each side then runs W once more with `--trace 1` (one
+process per workload again), and the script prints every per-layer metric
+counted in `count` or `B` units whose value differs between the sides, or
+that only one side reports; the traced runs and those differences go to the
+JSON file as well.  --pairs 0 runs the traced comparison alone.
+The script then exits 1 if any run, traced or not, was not correct or had
+failed operations, listing each such run, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from typing import Dict, List
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / ".ab_bench"
 RUN_LIMIT_S = 200.0  # per workload; run.py ends each workload within 180 s
+COUNT_UNITS = ("count", "B")  # per-layer units that are exact, not timed
 
 
 def git(*args: str, env: Dict[str, str] | None = None) -> str:
@@ -66,11 +72,13 @@ def extract(tree: str, dest: Path) -> None:
         raise SystemExit(f"error: could not extract {tree} into {dest}")
 
 
-def run_workload(checkout: Path, workload: str, seed: int) -> dict:
-    """One perfbench process for one workload: its last-line JSON, with the
-    metrics named `workload.metric`, plus its identity and PROBLEM lines."""
+def run_workload(checkout: Path, workload: str, seed: int, trace: bool) -> dict:
+    """One perfbench process for one workload, traced or not: its last-line
+    JSON, with the metrics named `workload.metric`, plus its identity and
+    PROBLEM lines."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--trace", str(int(trace))],
         cwd=checkout, capture_output=True, text=True, timeout=RUN_LIMIT_S)
     lines = proc.stdout.splitlines()
     if proc.returncode or not lines:
@@ -84,9 +92,9 @@ def run_workload(checkout: Path, workload: str, seed: int) -> dict:
     return result
 
 
-def run_once(checkout: Path, workloads: List[str], seed: int) -> dict:
+def run_once(checkout: Path, workloads: List[str], seed: int, trace: bool) -> dict:
     """One run: every workload in its own process, merged into one record."""
-    parts = [run_workload(checkout, w, seed) for w in workloads]
+    parts = [run_workload(checkout, w, seed, trace) for w in workloads]
     return {"correct": all(r["correct"] for r in parts),
             "attempted": sum(r["attempted"] for r in parts),
             "failed": sum(r["failed"] for r in parts),
@@ -130,6 +138,19 @@ def summarise(runs: Dict[str, List[dict]], end_to_end: List[dict]) -> Dict[str, 
     return summary
 
 
+def count_differences(traced: Dict[str, dict], per_layer: List[dict]) -> Dict[str, dict]:
+    """The metrics `workload.name` of the two traced runs whose per-layer
+    `name` is counted in COUNT_UNITS and whose value differs between the
+    sides, or that one side does not report (None there)."""
+    counted = {m["name"] for m in per_layer if m["unit"] in COUNT_UNITS}
+    values = {side: {k: v["value"] for k, v in run["metrics"].items()
+                     if k.split(".", 1)[-1] in counted}
+              for side, run in traced.items()}
+    names = sorted(values["parent"].keys() | values["change"].keys())
+    return {k: {side: values[side].get(k) for side in ("parent", "change")} for k in names
+            if values["parent"].get(k) != values["change"].get(k)}
+
+
 def bad_runs(runs: Dict[str, List[dict]]) -> List[str]:
     """One line for each run that was not correct or had failed operations:
     its side, pair, failed count and PROBLEM lines."""
@@ -145,9 +166,11 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workload", default="all")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--trace", action="store_true",
+                        help="also compare one traced run per side: counts that differ")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+    if args.pairs < (0 if args.trace else 1):
+        parser.error("--pairs must be at least 1, or 0 with --trace")
 
     parent = git("rev-parse", "--verify", f"{args.parent_rev}^{{commit}}")
     trees = {"parent": parent, "change": working_tree()}
@@ -171,12 +194,12 @@ def main(argv=None) -> int:
         sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         order.append(list(sides))
         for side in sides:
-            result = run_once(checkouts[side], workloads, args.seed)
+            result = run_once(checkouts[side], workloads, args.seed, False)
             runs[side].append(result)
             print(f"pair {i + 1}/{args.pairs} {side}: correct={result['correct']} "
                   f"failed={result['failed']} of {result['attempted']}", flush=True)
 
-    summary = summarise(runs, bench["end_to_end"])
+    summary = summarise(runs, bench["end_to_end"]) if args.pairs else {}
     for name, s in summary.items():
         p, c = s["parent"], s["change"]
         print(f"{name} [{s['unit']}, {s['better']} is better]: "
@@ -188,10 +211,20 @@ def main(argv=None) -> int:
               "change_tree": trees["change"], "workload": args.workload, "seed": args.seed,
               "pairs": args.pairs, "order": order, "benchmark_identical": bench_same,
               "src_lines": lines, "summary": summary, "runs": runs}
+    checked = dict(runs)
+    if args.trace:
+        traced = {side: run_once(checkout, workloads, args.seed, True)
+                  for side, checkout in checkouts.items()}
+        differ = count_differences(traced, bench["per_layer"])
+        for name, d in differ.items():
+            print(f"traced count {name}: parent {d['parent']}  change {d['change']}")
+        print(f"traced counts that differ between the sides: {len(differ)}")
+        record["trace"] = {"runs": traced, "differing_counts": differ}
+        checked.update({f"{side} traced": [run] for side, run in traced.items()})
     path = OUT / f"ab_{args.workload}_seed{args.seed}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"written: {path}")
-    bad = bad_runs(runs)
+    bad = bad_runs(checked)
     if bad:
         print("error: runs that were not correct or had failed operations:", *bad, sep="\n",
               file=sys.stderr)

@@ -66,10 +66,11 @@ def quadrature(fields: Sequence[Tuple[np.ndarray, np.ndarray]],
     weight w = (D^2/2) * dx in `weights`, as `Layout.views` and
     `Layout.weights` give them.  One dot per pipe and field, summed in pipe
     order, so the value does not depend on where the fields are stored, and
-    the sum over the first i pipes is the running total after pipe i."""
+    the sum over the first i pipes is the running total after pipe i.
+    `a.dot(a)` is `np.dot(a, a)` without numpy's Python-level dispatch."""
     total = 0.0
     for (a, b), w in zip(fields, weights):
-        total += w * float(np.dot(a, a) + np.dot(b, b))
+        total += w * float(a.dot(a) + b.dot(b))
     return total
 
 
@@ -163,8 +164,9 @@ class RegularityTracker:
     def observe(self, s_diff: np.ndarray, r_diff: np.ndarray) -> None:
         """Take S+ - S- and R+ - R- of one step, each packed in layout order;
         `s_diff` is kept until the next step, so it must not change."""
-        self.m_tilde = max(self.m_tilde, float(np.abs(s_diff).max()), float(np.abs(r_diff).max()))
+        top = np.maximum.reduce  # `.max()` without its Python-level wrapper
+        self.m_tilde = max(self.m_tilde, float(top(np.abs(s_diff))), float(top(np.abs(r_diff))))
         if self._prev is not None:
             # max(x)/dt == max(x/dt): one division per step
-            self.b_tilde = max(self.b_tilde, float(np.abs(s_diff - self._prev).max()) / self.dt)
+            self.b_tilde = max(self.b_tilde, float(top(np.abs(s_diff - self._prev))) / self.dt)
         self._prev = s_diff

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import sys
 import xml.etree.ElementTree as ET
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -411,6 +412,25 @@ _POSITIVE_KEYS = {"rest_pressure": "rest_pressure_bar", "t_end": "t_end", "dt": 
 # boundary schedules
 
 
+def _interp(t: float, ts: Tuple[float, ...], fs: Tuple[float, ...], j: int) -> float:
+    """`np.interp(t, ts, fs)` bit for bit, with `j = bisect_right(ts, t) - 1`
+    (its search on strictly increasing `ts`): the end values outside, the
+    breakpoint value at one, else its formula and its fallbacks for NaN."""
+    if j < 0:
+        return fs[0]
+    if j == len(ts) - 1:  # at or after the last breakpoint, or t is NaN
+        return t if t != t and j else fs[j]
+    if ts[j] == t:
+        return fs[j]
+    slope = (fs[j + 1] - fs[j]) / (ts[j + 1] - ts[j])  # the times differ, so no 0 below
+    y = slope * (t - ts[j]) + fs[j]
+    if y != y:
+        y = slope * (t - ts[j + 1]) + fs[j + 1]
+        if y != y and fs[j] == fs[j + 1]:
+            y = fs[j]
+    return y
+
+
 def make_boundary_control(
     points: Sequence[BoundaryPoint], pipe: PipeSpec, law: PressureLaw
 ):
@@ -425,9 +445,7 @@ def make_boundary_control(
     """
     pts = tuple(points)
     _check_schedule(pts, f"boundary schedule at pipe {pipe.id!r}")
-    ts = np.array([p.t for p in pts])
-    ps = np.array([p.p_bar for p in pts])
-    ms = np.array([p.m_kg_s for p in pts])
+    ts, ps, ms = zip(*((float(p.t), float(p.p_bar), float(p.m_kg_s)) for p in pts))
     area = pipe.area
     # Every control value lies between two breakpoints or at one, and each
     # law's admissible pressures form an interval: the breakpoints cover every t.
@@ -443,8 +461,9 @@ def make_boundary_control(
     def control(t: float) -> float:
         if t < 0:
             raise ScheduleError(f"schedule evaluated at negative time t={t}")
-        p_bar = float(np.interp(t, ts, ps))
-        m = float(np.interp(t, ts, ms))
+        j = bisect_right(ts, t) - 1  # one search for both columns
+        p_bar = _interp(t, ts, ps, j)
+        m = _interp(t, ts, ms, j)
         rho = float(law.density_from_pressure(p_bar * BAR))
         return float(law.rtilde(rho)) + m / (rho * area)
 

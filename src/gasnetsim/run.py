@@ -138,13 +138,16 @@ def _bad_pipe(layout: Layout, plus: np.ndarray, minus: np.ndarray) -> Optional[P
     return layout.pipes[sum(cells.stop <= bad[0] for cells in layout.spans)]
 
 
-def _finite(frame: SnapshotFrame) -> SnapshotFrame:
-    """`frame` if it is finite: every node map multiplies its inputs, so a non-finite
-    value never leaves the state again and the recorded frames show every blow-up."""
-    pid = _bad_pipe(frame.layout, frame.plus, frame.minus)
-    if pid is not None:
-        raise NumericalError(f"simulation blew up: pipe {pid} is not finite at t={frame.t}")
-    return frame
+def _blow_up(state: SimState, asm: Assembled) -> NumericalError:
+    """The error for a truth run found not finite at a checked step, with
+    `state` the last state found finite: it is stepped on, each step checked,
+    to the first step with a cell that is not finite, and the error names
+    that step and the cell's pipe.  Every node map multiplies its inputs, so
+    a non-finite value never leaves the state again."""
+    while np.isfinite(state.packed).all():
+        state = step_system(state, asm.graph, asm.config.controls, asm.mu)
+    return NumericalError(f"simulation blew up: pipe {_bad_pipe(asm.layout, *state.packed)} "
+                          f"is not finite at t={state.t}")
 
 
 def _l0_failure(cs: CoupledState, delta: Sequence[Tuple[np.ndarray, np.ndarray]],
@@ -200,14 +203,14 @@ def run_observer_pair(
                 res = nodal_energy_residual(tr.delta_in, tr.delta_out, tr.mu, net.diameters_at(v))
                 residuals.append(((k - 1) * dt, v, res))
         s, r, (d, d_views) = cs.s_state.packed, cs.r_state.packed, delta
-        np.subtract(r, s, out=d)
+        np.subtract(r, s, d)
         times[k] = cs.t
         l0[k] = quadrature(d_views, layout.weights)
         if not math.isfinite(l0[k]):
             raise _l0_failure(cs, d_views, layout)
         if l1 is not None and k > 0:
-            np.subtract(d, prev[0], out=q)
-            q /= dt
+            np.subtract(d, prev[0], q)
+            np.divide(q, dt, q)
             l1[k - 1] = quadrature(q_views, layout.weights)
         tracker.observe(s[0] - s[1], r[0] - r[1])
         if k in snap_steps:
@@ -232,12 +235,19 @@ def run_truth(
 ) -> Tuple[SnapshotFrame, List[SnapshotFrame]]:
     """Advance the truth system alone; returns the final frame and the snapshots."""
     asm = assemble(graph, scenario)
-    state = asm.s_state
+    # Finiteness is checked at the snapshots and at the end only: `finite`
+    # holds the last state that passed (states are never changed in place).
+    state = finite = asm.s_state
     snap_steps = _snapshot_steps(snapshot_times, asm.dt, asm.n_steps)
     snapshots: List[SnapshotFrame] = []
     for k in range(asm.n_steps + 1):
         if k > 0:
             state = step_system(state, asm.graph, asm.config.controls, asm.mu)
-        if k in snap_steps:
-            snapshots.append(_finite(SnapshotFrame.from_state(state, asm.layout)))
-    return _finite(SnapshotFrame.from_state(state, asm.layout)), snapshots
+        if k in snap_steps or k == asm.n_steps:
+            frame = SnapshotFrame.from_state(state, asm.layout)
+            if _bad_pipe(asm.layout, frame.plus, frame.minus) is not None:
+                raise _blow_up(finite, asm)
+            finite = state
+            if k in snap_steps:
+                snapshots.append(frame)
+    return frame, snapshots

@@ -297,8 +297,10 @@ def transport(
     overwrite the new grid's fields.  `state` is left as it was."""
     pair = np.empty_like(state.packed)
     grids: Dict[PipeId, EdgeGrid] = {}
-    for p, out, (a, b) in zip(graph.pipes, state.layout.views(pair), state.layout.ends):
-        g = advect_step(state.grids[p.id], outs[a], outs[b], out)
+    # a packed state's grids follow its layout, which follows `graph.pipes`
+    for p, g, out, (a, b) in zip(graph.pipes, state.grids.values(), state.layout.views(pair),
+                                 state.layout.ends):
+        g = advect_step(g, outs[a], outs[b], out)
         if p.nu > 0.0:
             friction(p, g, state.dt)
         grids[p.id] = g

@@ -73,6 +73,30 @@ def test_ab_bench_summary_counts_wins_by_each_metrics_direction():
     assert cpu["beyond_parent_iqr"] and not rate["beyond_parent_iqr"]
 
 
+def test_ab_bench_reports_each_traced_count_that_differs():
+    ab = _ab_bench()
+
+    def traced(advect, written, extra=()):
+        metrics = {"w.solver.advect_calls": {"value": advect, "unit": "count"},
+                   "w.cli.bytes_written": {"value": written, "unit": "B"},
+                   "w.solver.advect_s": {"value": advect / 7.0, "unit": "s"},
+                   "v.solver.advect_calls": {"value": 5, "unit": "count"}}
+        metrics.update({k: {"value": 1, "unit": "count"} for k in extra})
+        return {"metrics": metrics}
+
+    per_layer = [{"name": "solver.advect_calls", "unit": "count"},
+                 {"name": "solver.advect_s", "unit": "s"},
+                 {"name": "cli.bytes_written", "unit": "B"},
+                 {"name": "run.steps", "unit": "count"}]
+    same = {"parent": traced(10, 99), "change": traced(10, 99)}
+    assert ab.count_differences(same, per_layer) == {}
+    differ = {"parent": traced(10, 99, extra=["w.run.steps"]), "change": traced(12, 99)}
+    # times never count; a count that one side lacks reads None there
+    assert ab.count_differences(differ, per_layer) == {
+        "w.run.steps": {"parent": 1, "change": None},
+        "w.solver.advect_calls": {"parent": 10, "change": 12}}
+
+
 def test_ab_bench_lists_each_run_that_is_not_correct_or_has_failed_operations():
     ab = _ab_bench()
 

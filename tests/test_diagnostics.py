@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gasnetsim.diagnostics import (
     lyapunov_l0,
     lyapunov_l1,
     nodal_energy_residual,
+    quadrature,
 )
 from gasnetsim.errors import ValidationError
 from gasnetsim.fileio import InitialCondition, ScenarioSpec
@@ -255,6 +257,44 @@ def _per_pipe_l0(delta_grids, graph):
         ssq = float(np.dot(g.r_plus, g.r_plus) + np.dot(g.r_minus, g.r_minus))
         total += 0.5 * p.diameter ** 2 * g.dx * ssq
     return total
+
+
+def _dot_quadrature(fields, weights):
+    # Reference: `quadrature` in its np.dot form.
+    total = 0.0
+    for (a, b), w in zip(fields, weights):
+        total += w * float(np.dot(a, a) + np.dot(b, b))
+    return total
+
+
+# Signed zeros, subnormals, values whose square is near overflow, and non-finite cells.
+QUADRATURE_SPECIAL = (0.0, -0.0, 5e-324, -1e-310, 1e154, -3e154, 1.4e154, math.inf, -math.inf,
+                      math.nan)
+
+
+@given(
+    cells=st.lists(st.integers(1, 800), min_size=1, max_size=6),
+    offset=st.integers(0, 7),
+    share=st.sampled_from([0.0, 0.01, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quadrature_equals_its_np_dot_form(cells, offset, share, seed):
+    """Bit for bit, on every prefix of the pipes (the running sums that name
+    an overflowing term), with each pipe's fields viewed as `Layout.views`
+    views them: slices of the rows of one (2, cells) pair, here starting
+    `offset` elements into a buffer."""
+    rng = np.random.default_rng(seed)
+    pair = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), (2, offset + sum(cells)))[:, offset:]
+    hit = rng.random(pair.shape) < share
+    pair[hit] = rng.choice(QUADRATURE_SPECIAL, hit.sum())
+    stops = np.cumsum(cells).tolist()
+    views = [(pair[0][stop - n:stop], pair[1][stop - n:stop]) for n, stop in zip(cells, stops)]
+    weights = (10.0 ** rng.uniform(-6, 6, len(cells))).tolist()
+    for i in range(1, len(cells) + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = quadrature(views[:i], weights[:i])
+            want = _dot_quadrature(views[:i], weights[:i])
+        assert struct.pack("<d", got) == struct.pack("<d", want), i
 
 
 DT = 0.375

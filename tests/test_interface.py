@@ -1,14 +1,19 @@
+import bisect
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import warnings
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
+from gasnetsim import fileio
 from gasnetsim.errors import ParseError, ScheduleError, ValidationError
 from gasnetsim.fileio import (
     BAR,
@@ -265,6 +270,72 @@ def test_schedule_interpolation_benchmark_points():
         control(-1.0)
 
 
+def _np_interp_control(points, pipe, law):
+    # Reference: make_boundary_control's closure in its np.interp form.
+    ts, ps, ms = (np.array([getattr(p, k) for p in points]) for k in ("t", "p_bar", "m_kg_s"))
+
+    def control(t):
+        p_bar = float(np.interp(t, ts, ps))
+        m = float(np.interp(t, ts, ms))
+        rho = float(law.density_from_pressure(p_bar * BAR))
+        return float(law.rtilde(rho)) + m / (rho * pipe.area)
+    return control
+
+
+def _float_bits(x):
+    return struct.pack("<d", x)
+
+
+@st.composite
+def schedules(draw):
+    """1-6 breakpoints at strictly increasing times (some before 0), with
+    pressures that repeat and mass flows of either sign."""
+    n = draw(st.integers(1, 6))
+    t0 = draw(st.floats(-50.0, 50.0))
+    gaps = draw(st.lists(st.floats(1e-9, 100.0), min_size=n - 1, max_size=n - 1))
+    ts = list(accumulate(gaps, initial=t0))
+    assume(all(a < b for a, b in zip(ts, ts[1:])))
+    pressure = st.one_of(st.sampled_from([59.5, 60.0, 60.5]), st.floats(1.0, 200.0))
+    return [BoundaryPoint(t, draw(pressure), draw(st.floats(-1e3, 1e3))) for t in ts]
+
+
+@given(schedules(), st.lists(st.floats(0.0, 1.0), max_size=5))
+def test_boundary_control_equals_its_np_interp_form(points, fractions):
+    """Bit for bit at each breakpoint, between two, at and after the last."""
+    pipe = PipeSpec("p", "a", "b", 1000.0, 0.5)
+    law = IsothermalLaw(c=340.0)
+    control = make_boundary_control(points, pipe, law)
+    reference = _np_interp_control(points, pipe, law)
+    ts = [p.t for p in points]
+    times = [0.0, *ts, *((a + b) / 2.0 for a, b in zip(ts, ts[1:])),
+             *(ts[0] + f * (ts[-1] - ts[0]) for f in fractions), ts[-1] + 1.0,
+             2.0 * abs(ts[-1]) + 1e6, *(math.nextafter(t, math.inf) for t in ts),
+             *(math.nextafter(t, -math.inf) for t in ts)]
+    for t in times:
+        if t >= 0:
+            assert _float_bits(control(t)) == _float_bits(reference(t)), t
+
+
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=6, unique=True),
+       st.lists(st.floats(allow_nan=False), min_size=6, max_size=6),
+       st.one_of(st.floats(), st.sampled_from([0.5, 1.0])))
+# each branch of np.interp that random draws seldom reach:
+@example([0.0, 10.0], [1.0, 2.0], math.nan)  # t NaN: NaN
+@example([0.0], [1.0], math.nan)  # t NaN at one breakpoint: its value
+@example([0.0, 5e-324], [0.0, 1.0], 0.0)  # at a breakpoint, with an infinite slope
+@example([-1.7e308, 1.7e308], [0.0, 1.0], 1e308)  # 0 * inf: the form from the right end
+@example([0.0, 1.0], [math.inf, math.inf], 0.5)  # both forms NaN, equal values: the value
+def test_schedule_interpolation_is_np_interp(ts, fs, t):
+    """`fileio._interp` after one bisection is np.interp, bit for bit, for any
+    strictly increasing times, values and t, NaN and infinities included."""
+    ts, fs = tuple(sorted(ts)), tuple(fs[:len(ts)])
+    assume(all(a < b for a, b in zip(ts, ts[1:])))
+    with np.errstate(all="ignore"):
+        want = float(np.interp(t, ts, fs))
+    got = fileio._interp(t, ts, fs, bisect.bisect_right(ts, t) - 1)
+    assert _float_bits(got) == _float_bits(want)
+
+
 def test_boundary_invariant_conversion():
     pipe = PipeSpec("p", "a", "b", 1000.0, 0.5)
     law = IsothermalLaw(c=340.0)
@@ -504,6 +575,25 @@ def test_cli_blow_up_raises_no_numpy_warning(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_cli(_blow_up_args(tmp_path)) == 3
+
+
+@pytest.mark.parametrize("snapshots", [[], ["--snapshots", "0"], ["--snapshots", "0,3"]])
+def test_simulate_names_the_step_of_the_blow_up(tmp_path, capsys, snapshots):
+    # The node map at n1 forms sum D^2 R before it scales, which overflows at
+    # pipe a's diameter: the truth is not finite from the first step on,
+    # while the run checks it at the snapshots and at the end only.  (A node
+    # map that weights by D^2 / sum D^2 would not overflow here; this case
+    # then needs another blow-up.)
+    net, scn = tmp_path / "net.net", tmp_path / "scn.scn"
+    net.write_text(OVERFLOW_NET)
+    scn.write_text(OVERFLOW_SCN)
+    out = tmp_path / "out"
+    code = run_cli(["simulate", "--network", str(net), "--scenario", str(scn),
+                    "--out", str(out), *snapshots])
+    assert code == 3
+    assert capsys.readouterr().err == ("numerical error: simulation blew up: pipe a is not "
+                                       "finite at t=0.5\n")
+    assert not out.exists()
 
 
 def test_cli_observe_bad_fit_window_writes_nothing(tmp_path, capsys):
