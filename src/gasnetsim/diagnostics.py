@@ -10,7 +10,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .network import NetworkGraph, PipeId
+from .network import NetworkGraph, PipeId, node_table
 from .solver import EdgeGrid, Layout, SimState
 
 
@@ -104,11 +104,12 @@ def nodal_energy_residual(delta_in: Mapping[PipeId, float], delta_out: Mapping[P
 
     Normalized by the in-sum; defined as 0 when the in-sum vanishes.
     """
+    squares = node_table(diameters).squares
     in_sum = out_sum = 0.0  # left folds, as in the node maps
     for e in delta_in:
-        in_sum += diameters[e] ** 2 * delta_in[e] ** 2
+        in_sum += squares[e] * delta_in[e] ** 2
     for e in delta_out:
-        out_sum += diameters[e] ** 2 * delta_out[e] ** 2
+        out_sum += squares[e] * delta_out[e] ** 2
     if in_sum == 0.0:
         return 0.0 if out_sum == 0.0 else math.inf
     return abs(out_sum - mu * mu * in_sum) / in_sum

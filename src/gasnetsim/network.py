@@ -11,6 +11,7 @@ import functools
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 from typing import Callable, Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConfigurationError, ScheduleError, ValidationError
@@ -68,13 +69,7 @@ def check_gain(mu: float, node: Optional[NodeId]) -> None:
 
 def omega_v(diameters: Iterable[float]) -> float:
     """Junction coupling weight 2 / sum(D_f^2) over the pipes at a node."""
-    return _omega_v(tuple(diameters))
-
-
-@functools.lru_cache(maxsize=4096)
-def _omega_v(ds: Tuple[float, ...]) -> float:
-    # Fixed per node, so every node map of a run after the first is a lookup;
-    # an error is not cached and is raised again on every call.
+    ds = tuple(diameters)
     if not ds:
         raise ValidationError("omega_v needs at least one diameter")
     if any(not d > 0 for d in ds):
@@ -83,6 +78,35 @@ def _omega_v(ds: Tuple[float, ...]) -> float:
     for d in ds:
         total += d * d
     return 2.0 / total
+
+
+class NodeDiameters(dict):
+    """The diameter of each pipe at one node, as `NetworkGraph.diameters_at`
+    gives it: read-only, so the node map's constants, `squares` (D^2 per
+    pipe) and `omega` (`omega_v`), are computed once, on first use."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a node's diameter table is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = \
+        __setattr__ = __delattr__ = _read_only
+
+    def __reduce__(self):  # copy and pickle rebuild the table, not set its items
+        return NodeDiameters, (dict(self),)
+
+    @functools.cached_property
+    def squares(self) -> Mapping[PipeId, float]:
+        return MappingProxyType({e: d ** 2 for e, d in self.items()})
+
+    @functools.cached_property
+    def omega(self) -> float:
+        return omega_v(self.values())
+
+
+def node_table(diameters: Mapping[PipeId, float]) -> NodeDiameters:
+    """`diameters` if it is a graph's table, else a table of its items, whose
+    constants are then computed for this call alone."""
+    return diameters if type(diameters) is NodeDiameters else NodeDiameters(diameters)
 
 
 def junction_outflow(incoming: Mapping[PipeId, float], diameters: Mapping[PipeId, float],
@@ -110,10 +134,11 @@ def junction_outflow(incoming: Mapping[PipeId, float], diameters: Mapping[PipeId
         return {e: boundary_outflow(mu, u, r_in)}
     if boundary_gain is not None:
         raise ValidationError("interior node takes no boundary_gain")
-    w = omega_v(diameters.values())
+    table = node_table(diameters)
+    w, squares = table.omega, table.squares
     total = 0.0
     for e, r in incoming.items():
-        total += diameters[e] ** 2 * r
+        total += squares[e] * r
     return {e: w * total - r for e, r in incoming.items()}
 
 
@@ -127,7 +152,7 @@ class PlanNode(NamedTuple):
     """The per-run constants of one node map (see `NetworkGraph.node_plan`)."""
 
     node: NodeId
-    diameters: Dict[PipeId, float]  # pipe by pipe in the order of the node's read slots
+    diameters: NodeDiameters  # pipe by pipe in the order of the node's read slots
     mu: Optional[float]  # checked; None at an interior node without a gain
     control: Optional[Callable[[float], float]]  # None at an interior node
 
@@ -135,8 +160,8 @@ class PlanNode(NamedTuple):
 class NetworkGraph:
     """Immutable pipe network with cached incident pipes per node.
 
-    The per-node diameter tables are precomputed because every node map
-    uses them on every time step; `omega_v` of a table is memoised.
+    The per-node diameter tables (`NodeDiameters`) are built once because
+    every node map uses them, with their constants, on every time step.
     """
 
     def __init__(self, pipes: Sequence[PipeSpec]):
@@ -163,8 +188,8 @@ class NetworkGraph:
             v: tuple(ps) for v, ps in incident.items()
         }
         self._check_connected()
-        self._diameters: Dict[NodeId, Dict[PipeId, float]] = {
-            v: {p.id: p.diameter for p in self._incident[v]} for v in self.nodes
+        self._diameters: Dict[NodeId, NodeDiameters] = {
+            v: NodeDiameters((p.id, p.diameter) for p in self._incident[v]) for v in self.nodes
         }
         self.boundary_nodes: Tuple[NodeId, ...] = tuple(
             v for v in self.nodes if len(self._incident[v]) == 1
@@ -191,7 +216,7 @@ class NetworkGraph:
         except KeyError:
             raise ValidationError(f"unknown node id {v!r}") from None
 
-    def diameters_at(self, v: NodeId) -> Dict[PipeId, float]:
+    def diameters_at(self, v: NodeId) -> NodeDiameters:
         try:
             return self._diameters[v]
         except KeyError:

@@ -13,7 +13,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import ConfigurationError, ValidationError
 from .network import (NetworkGraph, NodeId, PipeId, PipeSpec, boundary_outflow, check_gain,
-                      junction_outflow, omega_v)
+                      junction_outflow, node_table)
 from .solver import (Control, EdgeGrid, SimState, friction_root_shifted, recombine, transport,
                      truth_friction)
 
@@ -73,10 +73,11 @@ def diff_junction_outflow(
     check_gain(mu, None)
     if delta_in.keys() != diameters.keys():
         raise ValidationError("diff_junction_outflow: key mismatch")
-    w = omega_v(diameters.values())
+    table = node_table(diameters)
+    w, squares = table.omega, table.squares
     total = 0.0
     for e, d in delta_in.items():
-        total += diameters[e] ** 2 * d
+        total += squares[e] * d
     return {e: mu * (w * total - d) for e, d in delta_in.items()}
 
 

@@ -130,7 +130,7 @@ def build_grids(graph: NetworkGraph, c: float, dt: float,
 def advect_step(grid: EdgeGrid, inflow_plus: float, inflow_minus: float,
                 out=None) -> EdgeGrid:
     """One upwind transport step, into new fields or into `out`, a pair of
-    cell arrays that does not overlap the grid's fields.
+    cell arrays of the grid's size that does not overlap the grid's fields.
 
     r_plus moves rightwards with ghost value inflow_plus at x = 0, r_minus
     moves leftwards with ghost value inflow_minus at x = L.  At cfl = 1 the
@@ -148,19 +148,25 @@ def advect_step(grid: EdgeGrid, inflow_plus: float, inflow_minus: float,
         new_p += (1.0 - lam) * p
         new_m *= lam
         new_m += (1.0 - lam) * m
-    return EdgeGrid(grid.pipe, grid.n_cells, grid.dx, lam, new_p, new_m, grid.length_perturbation)
+    # `grid` passed EdgeGrid's checks and the new fields have its size, so the
+    # new grid is built without checking them again
+    g = object.__new__(EdgeGrid)
+    g.pipe, g.n_cells, g.dx, g.cfl, g.length_perturbation = \
+        grid.pipe, grid.n_cells, grid.dx, lam, grid.length_perturbation
+    g.r_plus, g.r_minus = new_p, new_m
+    return g
 
 
-def _root_in_place(d: np.ndarray, a: float) -> np.ndarray:
-    """Overwrite d_star in d (owned by the caller) by its `friction_root`; return the work array."""
-    w = np.abs(d, out=...)
+def _root_in_place(d: np.ndarray, a: float, w: np.ndarray) -> None:
+    """Overwrite d_star in d (owned by the caller) by its `friction_root`, with
+    w, of d's shape and sharing no memory with it, as the work array."""
+    np.absolute(d, w)
     w *= 4.0 * a
     w += 1.0
     np.sqrt(w, w)
     w += 1.0
     d *= 2.0
     d /= w
-    return w
 
 
 def friction_root(d_star: ArrayLike, a: float) -> ArrayLike:
@@ -172,7 +178,7 @@ def friction_root(d_star: ArrayLike, a: float) -> ArrayLike:
     sign(d_star) * 2 |d_star| / (...) bit for bit, signed zeros included.
     """
     d = np.array(d_star, dtype=float)
-    _root_in_place(d, a)
+    _root_in_place(d, a, np.empty_like(d))
     return d if d.ndim else d[()]
 
 
@@ -187,8 +193,8 @@ def friction_root_shifted(d_star: ArrayLike, d_frozen: ArrayLike, a: float) -> A
 
 
 def recombine(s: np.ndarray, d: np.ndarray, plus: np.ndarray, minus: np.ndarray) -> None:
-    """(s + d) / 2 into `plus` and (s - d) / 2 into `minus`, which may be `s`;
-    x * 0.5 has the bits of x / 2."""
+    """(s + d) / 2 into `plus` and (s - d) / 2 into `minus`, which may be `s`
+    or `d`; x * 0.5 has the bits of x / 2."""
     np.add(s, d, plus)
     plus *= 0.5
     np.subtract(s, d, minus)
@@ -199,9 +205,14 @@ def friction_step(r_plus, r_minus, nu: float, dt: float, out=None):
     """Implicit Euler step of the friction source on (R+, R-).
 
     Preserves the sum R+ + R- and contracts the difference.  Works on
-    scalars (as 0-d arrays) and on whole cell arrays, in three new arrays;
-    with `out`, a pair of cell arrays, the result is written there and
-    only there (`out` may be the inputs themselves).
+    scalars (Python floats or 0-d arrays; for nu > 0 the result is two
+    numpy scalars) and on whole cell arrays.  The result goes to `out`, a
+    pair of cell arrays, or to a new pair; the one temporary is the sum.
+    Each of `out`'s arrays may be one of the inputs, in either order, or
+    share no memory with them, and the two must not overlap each other:
+    the difference goes to `out[1]` once the sum is formed, and the root's
+    work array to `out[0]` once both are, so no input is read after it is
+    overwritten.
     """
     if not nu >= 0:
         raise ValidationError("friction_step needs nu >= 0")
@@ -211,13 +222,13 @@ def friction_step(r_plus, r_minus, nu: float, dt: float, out=None):
     if a == 0.0:
         if out is None:
             return r_plus, r_minus
-        out[0][...], out[1][...] = r_plus, r_minus
+        out[0][...], out[1][...] = r_plus, np.array(r_minus)  # out[0] may be r_minus
         return out
-    s = np.add(r_plus, r_minus, out=...)
-    d = np.subtract(r_plus, r_minus, out=...)
-    work = _root_in_place(d, a)
-    plus, minus = (work, s) if out is None else out
-    recombine(s, d, plus, minus)
+    s = np.add(r_plus, r_minus)
+    plus, minus = (np.empty_like(s), np.empty_like(s)) if out is None else out
+    np.subtract(r_plus, r_minus, minus)
+    _root_in_place(minus, a, plus)
+    recombine(s, minus, plus, minus)
     return (plus, minus) if plus.ndim else (plus[()], minus[()])  # scalars in, scalars out
 
 

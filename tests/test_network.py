@@ -1,5 +1,8 @@
+import copy
 import json
 import math
+import operator
+import pickle
 import random
 import subprocess
 from pathlib import Path
@@ -11,7 +14,7 @@ from hypothesis import given, strategies as st
 from gasnetsim.bounds import upsilon0
 from gasnetsim.diagnostics import nodal_energy_residual
 from gasnetsim.errors import ValidationError
-from gasnetsim.network import NetworkGraph, PipeSpec, junction_outflow, omega_v
+from gasnetsim.network import NetworkGraph, NodeDiameters, PipeSpec, junction_outflow, omega_v
 from gasnetsim.observer import diff_junction_outflow, observer_node_update
 
 
@@ -107,6 +110,52 @@ def test_node_plan_is_reused_until_a_mapping_changes(five_pipe):
     gains["n0"] = math.nan
     with pytest.raises(ValidationError, match="node 'n0'"):
         five_pipe.node_plan(controls, gains)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda t: t.__setitem__("p2", 2.0),
+    lambda t: t.__setitem__("new", 2.0),
+    lambda t: t.__delitem__("p2"),
+    lambda t: t.clear(),
+    lambda t: t.pop("p2"),
+    lambda t: t.pop("new", None),
+    lambda t: t.popitem(),
+    lambda t: t.setdefault("new", 2.0),
+    lambda t: t.update({"p2": 2.0}),
+    lambda t: t.update(p2=2.0),
+    lambda t: t.__ior__({"p2": 2.0}),  # what `t |= {...}` calls
+    lambda t: operator.setitem(t.squares, "p2", 4.0),
+    lambda t: setattr(t, "omega", 1.0),
+    lambda t: setattr(t, "squares", {}),
+    lambda t: delattr(t, "omega"),
+], ids=["setitem", "setitem-new", "delitem", "clear", "pop", "pop-default", "popitem",
+        "setdefault", "update", "update-kwargs", "ior", "squares-setitem", "set-omega",
+        "set-squares", "del-omega"])
+def test_node_diameter_tables_are_read_only(five_pipe, mutate):
+    """Every way to change a graph's diameter table, or the constants it
+    holds, raises `TypeError` and leaves the table and its node map as they
+    were."""
+    table = five_pipe.diameters_at("n2")
+    incoming = {"p0": 1.0, "p1": -2.0, "p2": 3.0}
+    before = junction_outflow(incoming, table)
+    with pytest.raises(TypeError):
+        mutate(table)
+    assert table is five_pipe.diameters_at("n2")
+    assert table == {"p0": 0.6, "p1": 0.5, "p2": 0.8}
+    assert (table.squares, table.omega) == ({"p0": 0.6 ** 2, "p1": 0.5 ** 2, "p2": 0.8 ** 2},
+                                            omega_v([0.6, 0.5, 0.8]))
+    assert junction_outflow(incoming, table) == before
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda t: pickle.loads(pickle.dumps(t))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_node_diameter_tables_copy_and_pickle_as_tables(five_pipe, clone):
+    table = five_pipe.diameters_at("n2")
+    twin = clone(table)
+    assert type(twin) is NodeDiameters and twin == table and list(twin) == list(table)
+    assert (twin.squares, twin.omega) == (table.squares, table.omega)
+    assert clone(five_pipe).diameters_at("n2") == table
 
 
 def test_unknown_node_lookups_raise(five_pipe):

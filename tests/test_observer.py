@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gasnetsim.bounds import upsilon0
-from gasnetsim.diagnostics import lyapunov_l0, nodal_energy_residual
+from gasnetsim.diagnostics import lyapunov_l0, nodal_energy_residual, quadrature
 from gasnetsim.errors import ConfigurationError, ValidationError
 from gasnetsim.fileio import InitialCondition, ScenarioSpec
-from gasnetsim.network import NetworkGraph, PipeSpec, junction_outflow
+from gasnetsim.network import NetworkGraph, NodeDiameters, PipeSpec, junction_outflow
 from gasnetsim.observer import (
     CoupledState,
     ObserverConfig,
@@ -481,6 +481,68 @@ def assert_coupled_step_equals_per_node_references(graph, cs):
 @given(coupled_steps())
 def test_coupled_step_equals_per_node_references(case):
     assert_coupled_step_equals_per_node_references(*case)
+
+
+@given(coupled_steps())
+def test_node_maps_give_the_same_bits_on_a_graph_table_as_on_a_plain_dict(case):
+    """The node maps and the nodal residual read D^2 and omega_v from the
+    graph's table, and compute them per call from any other mapping: the
+    bits are the same either way."""
+    graph, cs = case
+    mu, controls, t = cs.config.mu, cs.config.controls, cs.t
+    s_in, r_in = slot_reads(graph, cs.s_state.grids), slot_reads(graph, cs.r_state.grids)
+    for v in graph.nodes:
+        table = graph.diameters_at(v)
+        assert type(table) is NodeDiameters
+        got = []
+        for diam in (table, dict(table)):
+            if v in graph.boundary_nodes:
+                u = controls[v](t)
+                s_out = junction_outflow(s_in[v], diam, (mu[v], u))
+                r_out = observer_node_update(mu[v], diam, r_in[v], u=u)
+            else:
+                s_out = junction_outflow(s_in[v], diam)
+                r_out = observer_node_update(mu[v], diam, r_in[v], s_in[v], s_out)
+            d_in = {e: r - s_in[v][e] for e, r in r_in[v].items()}
+            d_out = diff_junction_outflow(d_in, diam, mu[v])
+            res = nodal_energy_residual(d_in, d_out, mu[v], diam)
+            got.append([x.hex() for x in (*s_out.values(), *r_out.values(), *d_out.values(), res)])
+        assert got[0] == got[1]
+
+
+@given(coupled_steps().filter(lambda case: all(g.cfl == 1.0
+                                               for g in case[1].s_state.grids.values())))
+def test_exact_discrete_energy_budget(case):
+    """At cfl = 1 on every pipe, as in exact mode, a step drops every
+    read-slot value and writes every node output, cell for cell, so
+
+        L0_{k+1} - L0_k = sum over read slots of w (delta_out^2 - delta_in^2) - F_k,
+
+    with w the L0 weight of the slot's pipe and F_k what friction removes:
+    F_k = 0 without friction, and F_k >= 0 with it, since friction keeps
+    delta+ + delta- and shrinks |delta+ - delta-|.  Both to 1e-12 of L0_k."""
+    graph, cs = case
+    cs = CoupledState(cs.s_state.packed_on(graph), cs.r_state.packed_on(graph), cs.config)
+    layout = cs.s_state.layout
+    weight = dict(zip(layout.pipes, layout.weights))
+    frictionless = all(p.nu == 0.0 for p in graph.pipes)
+
+    def l0(state):
+        return quadrature(layout.views(state.r_state.packed - state.s_state.packed),
+                          layout.weights)
+
+    for _ in range(6):
+        before = l0(cs)
+        cs, traces = step_coupled(cs, graph, collect_nodal=True)
+        node_term = 0.0
+        for tr in traces.values():
+            for e, d in tr.delta_in.items():
+                node_term += weight[e] * (tr.delta_out[e] ** 2 - d ** 2)
+        removed = node_term - (l0(cs) - before)
+        if frictionless:
+            assert abs(removed) <= 1e-12 * before
+        else:
+            assert removed >= -1e-12 * before
 
 
 def test_cfl_safe_coupled_step_with_friction_copies_at_unit_cfl():

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -107,6 +108,9 @@ def test_grid_invariants():
         EdgeGrid("p", 1, 1.0, 1.0, np.zeros(1), np.zeros(1))
     with pytest.raises(ValidationError):
         EdgeGrid("p", 4, 1.0, 1.5, np.zeros(4), np.zeros(4))
+    for plus, minus in ((np.zeros(3), np.zeros(4)), (np.zeros(4), np.zeros(5))):
+        with pytest.raises(ValidationError, match="field size"):
+            EdgeGrid("p", 4, 1.0, 1.0, plus, minus)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +245,7 @@ def allocating_friction_step(r_plus, r_minus, nu, dt):
 
 
 FRICTION_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310,
-                     1e308, -1e308, math.inf, -math.inf, math.nan]
+                     1e300, -1e300, 1e308, -1e308, math.inf, -math.inf, math.nan]
 cell_values = st.one_of(st.sampled_from(FRICTION_SPECIALS), st.floats())
 
 
@@ -290,6 +294,72 @@ def test_in_place_friction_has_the_bits_and_warnings_of_the_allocating_form(pair
     for g, r in zip(got, ref):
         assert_same_bits(g, r)
     assert got_warnings == ref_warnings
+
+
+def three_array_friction_step(r_plus, r_minus, nu, dt):
+    """`friction_step` in its three-array form: a new sum, difference and
+    work array per call, the result in the work array and the sum."""
+    a = 2.0 * dt * nu
+    if a == 0.0:
+        return r_plus, r_minus
+    s = np.add(r_plus, r_minus, out=...)
+    d = np.subtract(r_plus, r_minus, out=...)
+    w = np.abs(d, out=...)
+    w *= 4.0 * a
+    w += 1.0
+    np.sqrt(w, w)
+    w += 1.0
+    d *= 2.0
+    d /= w
+    np.add(s, d, w)
+    w *= 0.5
+    np.subtract(s, d, s)
+    s *= 0.5
+    return (w, s) if w.ndim else (w[()], s[()])
+
+
+def caught_warnings(call):
+    """`call()` and the (category, message) of each warning it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, {(w.category, str(w.message).replace("scalar ", "")) for w in caught}
+
+
+@given(friction_operands(), st.sampled_from([0.0, 1e-12, 0.003, 1.0, 1e3]),
+       st.sampled_from(["none", "inputs", "swapped", "disjoint"]))
+def test_friction_step_gives_the_three_array_bits_under_every_supported_out(pair, nu, mode):
+    """With no `out`, with the inputs as `out` in either order, and with an
+    `out` that shares no memory with them (which leaves them as they were),
+    `friction_step` gives the three-array form's bits and warnings, and
+    keeps its return types: scalars give numpy scalars for nu > 0, `out`
+    itself for nu = 0."""
+    if mode in ("inputs", "swapped") and isinstance(pair[0], float):
+        pair = [np.array(x) for x in pair]  # a Python float cannot be written to
+    kept = [np.array(x) for x in pair]
+    x, y = pair
+    (ref_plus, ref_minus), ref_warnings = caught_warnings(lambda: three_array_friction_step(
+        *[v if isinstance(v, float) else v.copy() for v in pair], nu, 0.5))
+    out = {"none": None, "inputs": (x, y), "swapped": (y, x),
+           "disjoint": (np.empty_like(kept[0]), np.empty_like(kept[1]))}[mode]
+    (plus, minus), got_warnings = caught_warnings(lambda: friction_step(x, y, nu, 0.5, out))
+    assert got_warnings == ref_warnings
+    if out is None:
+        assert_same_bits(plus, ref_plus)
+        assert_same_bits(minus, ref_minus)
+        if nu == 0.0:
+            assert plus is x and minus is y
+    else:
+        assert_same_bits(out[0].copy(), np.asarray(ref_plus))
+        assert_same_bits(out[1].copy(), np.asarray(ref_minus))
+        if nu == 0.0 or out[0].ndim:
+            assert plus is out[0] and minus is out[1]
+        else:
+            assert_same_bits(plus, ref_plus)
+            assert_same_bits(minus, ref_minus)
+    if mode in ("none", "disjoint"):
+        for before, now in zip(kept, pair):
+            assert_same_bits(np.asarray(now), before)
 
 
 @pytest.mark.parametrize("nu, dt", [(-1.0, 1.0), (math.nan, 1.0), (1.0, 0.0), (1.0, math.nan)])
@@ -462,6 +532,27 @@ def test_read_slots_follow_the_end_cell_rule(case):
     assert len(layout.ends) == len(graph.pipes)
     for p, (a, b) in zip(graph.pipes, layout.ends):
         assert (ends[a], ends[b]) == ((p.from_node, p), (p.to_node, p))
+
+
+@given(layout_cases(), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.booleans())
+def test_advected_grid_equals_a_checked_grid_field_by_field(case, inflow_plus, inflow_minus,
+                                                            into_out):
+    """`advect_step` builds its grid without EdgeGrid's checks; the grid
+    equals the one the checked constructor makes."""
+    _, grids = case
+    for g in grids.values():
+        out = (np.empty(g.n_cells), np.empty(g.n_cells)) if into_out else None
+        new = advect_step(g, inflow_plus, inflow_minus, out)
+        want = EdgeGrid(g.pipe, g.n_cells, g.dx, g.cfl, new.r_plus.copy(), new.r_minus.copy(),
+                        g.length_perturbation)
+        assert type(new) is EdgeGrid
+        for f in fields(EdgeGrid):
+            got, ref = getattr(new, f.name), getattr(want, f.name)
+            assert type(got) is type(ref)
+            if isinstance(ref, np.ndarray):
+                assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
+            else:
+                assert got == ref
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=12), st.floats(0.0, 1.0),
