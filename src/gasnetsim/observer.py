@@ -124,9 +124,11 @@ def observer_node_update(
 
 
 def step_coupled(
-    cs: CoupledState, graph: NetworkGraph, collect_nodal: bool = False
+    cs: CoupledState, graph: NetworkGraph, collect_nodal: bool = False,
+    out: Optional[CoupledState] = None,
 ) -> Tuple[CoupledState, Optional[Dict[NodeId, NodalTrace]]]:
-    """Advance truth and observer together by one tick.
+    """Advance truth and observer together by one tick, into `out` (each
+    state as `transport` takes it, and `cs`'s config) or a new coupled state.
 
     Both node maps read the previous-step edge states (one shared
     measurement snapshot) and the same control values u(t), then the two
@@ -137,6 +139,10 @@ def step_coupled(
     `collect_nodal`; one `transport` per system ends the tick.
     """
     cfg, s, r = cs.config, cs.s_state.packed_on(graph), cs.r_state.packed_on(graph)
+    out = CoupledState(s.empty_like(), r.empty_like(), cfg) if out is None else out
+    if (out.s_state.packed is r.packed or out.r_state.packed is s.packed
+            or out.s_state.packed is out.r_state.packed):
+        raise ConfigurationError("step_coupled: out's two states need pairs of their own")
     t = s.t
     s_ins = iter(s.packed.take(s.layout.read_slots).tolist())
     r_ins = iter(r.packed.take(r.layout.read_slots).tolist())
@@ -165,8 +171,10 @@ def step_coupled(
         if traces is not None:
             traces[v] = NodalTrace(mu, d_in, d_out if control is None
                                    else error_outflow(d_in, diam, mu))
-    return CoupledState(transport(s, graph, s_out, truth_friction),
-                        transport(r, graph, r_out, truth_friction), cfg), traces
+    transport(s, graph, s_out, truth_friction, out.s_state)
+    transport(r, graph, r_out, truth_friction, out.r_state)
+    out.config = cfg
+    return out, traces
 
 
 def direct_diff_step(

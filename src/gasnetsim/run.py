@@ -140,7 +140,7 @@ def _bad_pipe(layout: Layout, plus: np.ndarray, minus: np.ndarray) -> Optional[P
 
 def _blow_up(state: SimState, asm: Assembled) -> NumericalError:
     """The error for a truth run found not finite at a checked step, with
-    `state` the last state found finite: it is stepped on, each step checked,
+    `state` a state at or before that step: it is stepped on, each checked,
     to the first step with a cell that is not finite, and the error names
     that step and the cell's pipe.  Every node map multiplies its inputs, so
     a non-finite value never leaves the state again."""
@@ -182,6 +182,9 @@ def run_observer_pair(
     """
     asm = assemble(graph, scenario)
     cs = CoupledState(asm.s_state, asm.r_state, asm.config)
+    # each step writes into `spare`, made once, and swaps it with `cs`, so a
+    # state is overwritten two steps on: nothing below keeps one
+    spare = CoupledState(cs.s_state.empty_like(), cs.r_state.empty_like(), cs.config)
     n = asm.n_steps
     snap_steps = _snapshot_steps(snapshot_times, asm.dt, n)
     times = np.empty(n + 1)
@@ -198,7 +201,8 @@ def run_observer_pair(
     for k in range(n + 1):
         if k > 0:
             collect = residual_stride > 0 and (k - 1) % residual_stride == 0
-            cs, traces = step_coupled(cs, net, collect_nodal=collect)
+            nxt, traces = step_coupled(cs, net, collect_nodal=collect, out=spare)
+            cs, spare = nxt, cs
             for v, tr in (traces or {}).items():
                 res = nodal_energy_residual(tr.delta_in, tr.delta_out, tr.mu, net.diameters_at(v))
                 residuals.append(((k - 1) * dt, v, res))
@@ -235,19 +239,21 @@ def run_truth(
 ) -> Tuple[SnapshotFrame, List[SnapshotFrame]]:
     """Advance the truth system alone; returns the final frame and the snapshots."""
     asm = assemble(graph, scenario)
-    # Finiteness is checked at the snapshots and at the end only: `finite`
-    # holds the last state that passed (states are never changed in place).
-    state = finite = asm.s_state
+    # Each step writes into `spare`, made once, and swaps it with `state`, a
+    # copy that leaves `asm.s_state` for `_blow_up` to replay from.
+    # Finiteness is checked at the snapshots and at the end only.
+    state = asm.layout.packed_state(asm.s_state)
+    spare = state.empty_like()
     snap_steps = _snapshot_steps(snapshot_times, asm.dt, asm.n_steps)
     snapshots: List[SnapshotFrame] = []
     for k in range(asm.n_steps + 1):
         if k > 0:
-            state = step_system(state, asm.graph, asm.config.controls, asm.mu)
+            nxt = step_system(state, asm.graph, asm.config.controls, asm.mu, out=spare)
+            state, spare = nxt, state
         if k in snap_steps or k == asm.n_steps:
             frame = SnapshotFrame.from_state(state, asm.layout)
             if _bad_pipe(asm.layout, frame.plus, frame.minus) is not None:
-                raise _blow_up(finite, asm)
-            finite = state
+                raise _blow_up(asm.s_state, asm)
             if k in snap_steps:
                 snapshots.append(frame)
     return frame, snapshots

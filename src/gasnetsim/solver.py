@@ -10,7 +10,7 @@ tolerances anywhere in the kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
@@ -62,7 +62,9 @@ class SimState:
     A packed state also holds its `layout` and the (2, cells) array `packed`
     of R+ (row 0) and R- (row 1) in layout order, which every grid views.
     The step functions step packed states only; one made from bare grids is
-    packed once, by `packed_on`, where it enters them.
+    packed once, by `packed_on`, where it enters them.  A step writes a new
+    state, or the one passed as its `out`: the run loops alone pass one, and
+    swap it with their current state every step.
     """
 
     grids: Dict[PipeId, EdgeGrid]
@@ -81,6 +83,10 @@ class SimState:
         if self.layout is not None and self.layout.graph is graph:
             return self
         return Layout.of(self.grids, graph).packed_state(self)
+
+    def empty_like(self) -> "SimState":
+        """A state on this packed state's layout, at its step, its pair not set."""
+        return self.layout.packed_state(self, np.empty_like(self.packed))
 
 
 def build_grids(graph: NetworkGraph, c: float, dt: float,
@@ -130,7 +136,8 @@ def build_grids(graph: NetworkGraph, c: float, dt: float,
 def advect_step(grid: EdgeGrid, inflow_plus: float, inflow_minus: float,
                 out=None) -> EdgeGrid:
     """One upwind transport step, into new fields or into `out`, a pair of
-    cell arrays of the grid's size that does not overlap the grid's fields.
+    cell arrays of the grid's size (else ValueError) that does not overlap
+    the grid's fields.
 
     r_plus moves rightwards with ghost value inflow_plus at x = 0, r_minus
     moves leftwards with ghost value inflow_minus at x = L.  At cfl = 1 the
@@ -139,6 +146,9 @@ def advect_step(grid: EdgeGrid, inflow_plus: float, inflow_minus: float,
     lam = grid.cfl
     p, m = grid.r_plus, grid.r_minus
     new_p, new_m = (np.empty_like(p), np.empty_like(m)) if out is None else out
+    # numpy would broadcast the one shifted cell of two; larger sizes it rejects
+    if grid.n_cells == 2 and not len(new_p) == len(new_m) == 2:
+        raise ValidationError(f"advect_step on {grid.pipe!r}: out is not of the grid's size")
     new_p[0] = inflow_plus
     new_p[1:] = p[:-1]
     new_m[-1] = inflow_minus
@@ -148,12 +158,20 @@ def advect_step(grid: EdgeGrid, inflow_plus: float, inflow_minus: float,
         new_p += (1.0 - lam) * p
         new_m *= lam
         new_m += (1.0 - lam) * m
-    # `grid` passed EdgeGrid's checks and the new fields have its size, so the
-    # new grid is built without checking them again
-    g = object.__new__(EdgeGrid)
+    g = object.__new__(EdgeGrid)  # `_with_fields`, inlined: this runs per pipe and step
     g.pipe, g.n_cells, g.dx, g.cfl, g.length_perturbation = \
         grid.pipe, grid.n_cells, grid.dx, lam, grid.length_perturbation
     g.r_plus, g.r_minus = new_p, new_m
+    return g
+
+
+def _with_fields(grid: EdgeGrid, plus: np.ndarray, minus: np.ndarray) -> EdgeGrid:
+    """A copy of `grid` with the fields `plus` and `minus`, of its size, built
+    without EdgeGrid's checks, which `grid` passed."""
+    g = object.__new__(EdgeGrid)
+    g.pipe, g.n_cells, g.dx, g.cfl, g.length_perturbation = \
+        grid.pipe, grid.n_cells, grid.dx, grid.cfl, grid.length_perturbation
+    g.r_plus, g.r_minus = plus, minus
     return g
 
 
@@ -281,13 +299,12 @@ class Layout:
         plus, minus = pair
         return tuple((plus[cells], minus[cells]) for cells in self.spans)
 
-    def packed_state(self, state: SimState) -> SimState:
-        """`state` packed on this layout: its fields copied into one new pair
-        that its grids, copied too, view."""
-        pair = np.array(self.pack(state.grids))
-        grids = {pid: replace(state.grids[pid], r_plus=plus, r_minus=minus)
-                 for pid, (plus, minus) in zip(self.pipes, self.views(pair))}
-        return SimState(grids, state.dt, state.step_index, self, pair)
+    def packed_state(self, state: SimState, pair: Optional[np.ndarray] = None) -> SimState:
+        """`state` on this layout in the (2, cells) `pair`, by default a new
+        one holding its fields: its grids, copied, view their cells of it."""
+        pair = np.array(self.pack(state.grids)) if pair is None else pair
+        return SimState({pid: _with_fields(state.grids[pid], *fields) for pid, fields in
+                         zip(self.pipes, self.views(pair))}, state.dt, state.step_index, self, pair)
 
 
 def truth_friction(pipe: PipeSpec, grid: EdgeGrid, dt: float) -> None:
@@ -301,21 +318,25 @@ def transport(
     graph: NetworkGraph,
     outs: Sequence[float],
     friction: Callable[[PipeSpec, EdgeGrid, float], None],
+    out: Optional[SimState] = None,
 ) -> SimState:
-    """Advect every edge of the packed `state` into its views of a new pair,
-    with the node outputs `outs`, one per read slot, at `Layout.ends` as
-    ghost inflows, then on pipes with nu > 0 let `friction(pipe, grid, dt)`
-    overwrite the new grid's fields.  `state` is left as it was."""
-    pair = np.empty_like(state.packed)
-    grids: Dict[PipeId, EdgeGrid] = {}
+    """Advect every edge of the packed `state` into `out`, a state on its
+    layout in a pair of its own (None: a new one), with the node outputs
+    `outs`, one per read slot, at `Layout.ends` as ghost inflows, then on
+    pipes with nu > 0 let `friction(pipe, grid, dt)` overwrite `out`'s grid's
+    fields.  `state` is left as it was; `out`, at the next step, is returned."""
+    out = state.empty_like() if out is None else out
+    if out.packed is state.packed or out.layout is not state.layout or out.dt != state.dt:
+        raise ConfigurationError("transport: out must be on the state's layout and dt, "
+                                 "in a pair of its own")
     # a packed state's grids follow its layout, which follows `graph.pipes`
-    for p, g, out, (a, b) in zip(graph.pipes, state.grids.values(), state.layout.views(pair),
-                                 state.layout.ends):
-        g = advect_step(g, outs[a], outs[b], out)
+    for p, g, o, (a, b) in zip(graph.pipes, state.grids.values(), out.grids.values(),
+                               state.layout.ends):
+        advect_step(g, outs[a], outs[b], (o.r_plus, o.r_minus))
         if p.nu > 0.0:
-            friction(p, g, state.dt)
-        grids[p.id] = g
-    return SimState(grids, state.dt, state.step_index + 1, state.layout, pair)
+            friction(p, o, state.dt)
+    out.step_index = state.step_index + 1
+    return out
 
 
 def step_system(
@@ -323,8 +344,9 @@ def step_system(
     graph: NetworkGraph,
     controls: Mapping[NodeId, Control],
     gains: Mapping[NodeId, float],
+    out: Optional[SimState] = None,
 ) -> SimState:
-    """Advance the truth system by one tick.
+    """Advance the truth system by one tick, into `out` as `transport` takes it.
 
     Order per tick: one gather of the layout's read slots takes the
     node-adjacent cells of the previous step, one pass over
@@ -339,4 +361,4 @@ def step_system(
         gain = None if n.control is None else (n.mu, n.control(state.t))
         # zip stops at the node's last pipe, before it takes another value
         outs += junction_outflow(dict(zip(n.diameters, ins)), n.diameters, gain).values()
-    return transport(state, graph, outs, truth_friction)
+    return transport(state, graph, outs, truth_friction, out)

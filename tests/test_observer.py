@@ -21,6 +21,7 @@ from gasnetsim.observer import (
 from gasnetsim.run import assemble
 from gasnetsim.solver import (
     EdgeGrid,
+    Layout,
     SimState,
     advect_step,
     build_grids,
@@ -622,3 +623,65 @@ def test_every_step_returns_a_packed_state_with_the_bits_of_bare_grids(case, rnd
         assert_same_bits(d_new, direct_diff_step(bare_shuffled(delta, rnd), graph, mu, s_new))
         packed, bare = nxt, CoupledState(bare_shuffled(nxt.s_state, rnd),
                                          bare_shuffled(nxt.r_state, rnd), cs.config)
+
+
+def five_pipe_pair(five_pipe):
+    """A packed truth/observer pair on the five-pipe network, the observer
+    half a bar above the truth on p2, and its assembled scenario."""
+    asm = assemble(five_pipe, ScenarioSpec(t_end=2.0, dt=0.5, mu_uniform=0.5,
+                                           ic_r={"p2": InitialCondition("constant", 60.5)}))
+    return CoupledState(asm.s_state, asm.r_state, asm.config), asm
+
+
+@pytest.mark.parametrize("foreign", ["state itself", "its pair", "another layout", "another dt"])
+def test_a_step_rejects_an_aliased_or_foreign_out(five_pipe, foreign):
+    cs, asm = five_pipe_pair(five_pipe)
+
+    def bad_out(state):
+        if foreign == "state itself":
+            return state
+        if foreign == "its pair":
+            return state.layout.packed_state(state, state.packed)
+        if foreign == "another layout":
+            return Layout.of(state.grids, asm.graph).packed_state(state)
+        return SimState(state.grids, 0.25, 0, state.layout, state.packed.copy())
+
+    before = [x.packed.tobytes() for x in (cs.s_state, cs.r_state)]
+    with pytest.raises(ConfigurationError, match="out"):
+        step_system(cs.s_state, asm.graph, asm.config.controls, asm.mu, out=bad_out(cs.s_state))
+    with pytest.raises(ConfigurationError, match="out"):
+        step_coupled(cs, asm.graph,
+                     out=CoupledState(bad_out(cs.s_state), bad_out(cs.r_state), cs.config))
+    assert [x.packed.tobytes() for x in (cs.s_state, cs.r_state)] == before
+
+
+def test_a_coupled_step_rejects_an_out_pair_that_shares_a_state(five_pipe):
+    cs, asm = five_pipe_pair(five_pipe)
+    s, r = cs.s_state, cs.r_state
+    spare = s.empty_like()
+    for out in (CoupledState(r, spare, cs.config), CoupledState(spare, s, cs.config),
+                CoupledState(spare, spare, cs.config)):
+        with pytest.raises(ConfigurationError, match="out"):
+            step_coupled(cs, asm.graph, out=out)
+
+
+@pytest.mark.parametrize("loop", ["run_observer_pair", "run_truth"])
+def test_a_run_loop_steps_into_two_states_it_swaps(five_pipe, monkeypatch, loop):
+    import gasnetsim.run as run_mod
+
+    name = "step_coupled" if loop == "run_observer_pair" else "step_system"
+    real, calls = getattr(run_mod, name), []
+
+    def spy(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args[0], kwargs["out"], result[0] if name == "step_coupled" else result))
+        return result
+
+    monkeypatch.setattr(run_mod, name, spy)
+    scenario = ScenarioSpec(t_end=3.0, dt=0.5, ic_s={"p0": InitialCondition("half_step", 60.0, 1.0)})
+    getattr(run_mod, loop)(five_pipe, scenario)
+    outs = [out for _, out, _ in calls]
+    assert len(outs) == 6 and len({id(out) for out in outs}) == 2
+    for (state, out, result), nxt in zip(calls, calls[1:]):
+        assert result is out and out is not state
+        assert nxt[0] is out and nxt[1] is state  # the step's `out` and input swap

@@ -215,3 +215,46 @@ def test_direct_diff_step_matches_the_scalar_reference(case):
                                error_friction(s_ref))
         d_state = direct_diff_step(d_state, graph, mu, kernel_state(grids, s_ref, k + 1))
         assert_same_bits(d_state, d_ref)
+
+
+def trace_bits(traces):
+    """Every node's gain and error traces, pipe ids and bits."""
+    return {v: (bits([tr.mu]), [(e, bits([d])) for e, d in tr.delta_in.items()],
+                [(e, bits([d])) for e, d in tr.delta_out.items()]) for v, tr in traces.items()}
+
+
+def assert_same_state(got, want):
+    assert got.step_index == want.step_index
+    assert got.packed.tobytes() == want.packed.tobytes()
+    assert_same_bits(got, {pid: (g.r_plus.tolist(), g.r_minus.tolist())
+                           for pid, g in want.grids.items()})
+
+
+@given(friction_cases())
+def test_stepping_into_two_alternating_out_states_gives_the_bits_of_new_states(case):
+    """The run loops' pattern: each step writes a spare state, made once, and
+    swaps it with the current one.  Every step returns its `out`, leaves the
+    state it steps from as it was, and has the bits and traces of a step
+    into new states."""
+    graph, grids, (s_fields, r_fields, _), mu, controls, n_steps = case
+    s = kernel_state(grids, s_fields).packed_on(graph)
+    cs = CoupledState(s, s.layout.packed_state(kernel_state(grids, r_fields)),
+                      ObserverConfig(mu, controls))
+    spare = CoupledState(cs.s_state.empty_like(), cs.r_state.empty_like(), cs.config)
+    truth = s.layout.packed_state(s)
+    truth_spare = truth.empty_like()
+    for _ in range(n_steps):
+        before = [x.packed.tobytes() for x in (cs.s_state, cs.r_state, truth)]
+        want, want_traces = step_coupled(cs, graph, collect_nodal=True)
+        got, traces = step_coupled(cs, graph, collect_nodal=True, out=spare)
+        assert got is spare
+        assert_same_state(got.s_state, want.s_state)
+        assert_same_state(got.r_state, want.r_state)
+        assert trace_bits(traces) == trace_bits(want_traces)
+        truth_want = step_system(truth, graph, controls, mu)
+        truth_got = step_system(truth, graph, controls, mu, out=truth_spare)
+        assert truth_got is truth_spare
+        assert_same_state(truth_got, truth_want)
+        assert [x.packed.tobytes() for x in (cs.s_state, cs.r_state, truth)] == before
+        cs, spare = got, cs
+        truth, truth_spare = truth_got, truth

@@ -574,3 +574,13 @@ def test_kernel_writes_into_out_with_the_bits_of_new_arrays(cells, cfl, nu, onto
     assert target.tobytes() == ref.tobytes()
     if not onto_inputs:
         assert out.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("cells, sizes", [(2, (1, 2)), (2, (3, 2)), (2, (2, 1)), (2, (2, 3)),
+                                          (5, (4, 5)), (5, (5, 6))])
+def test_advect_step_rejects_an_out_pair_of_another_size(cells, sizes):
+    # at two cells numpy would broadcast the one shifted cell into 1 or 3
+    # cells, so advect_step checks; at more cells numpy's ValueError stands
+    grid = make_grid(np.arange(cells, dtype=float), np.ones(cells))
+    with pytest.raises(ValidationError if cells == 2 else ValueError):
+        advect_step(grid, 1.0, 2.0, tuple(np.zeros(n) for n in sizes))
