@@ -21,13 +21,17 @@ counting for neither), and whether the medians differ by more than the
 distance between the parent's quartiles.  It also prints each side's
 `wc -l src/gasnetsim/*.py`.  The same numbers, each run's result line and
 its seed-0 identity and PROBLEM lines go to `.ab_bench/ab_<W>_seed<S>.json`.
-With --trace, each side then runs W once more with `--trace 1` (one
-process per workload again), and the script prints every per-layer metric
-counted in `count` or `B` units whose value differs between the sides, or
-that only one side reports; the traced runs and those differences go to the
-JSON file as well.  --pairs 0 runs the traced comparison alone.
-The script then exits 1 if any run, traced or not, was not correct or had
-failed operations, listing each such run, and 0 otherwise.
+With --trace, the sides then run W with `--trace 1` in as many alternating
+pairs again (one pair with --pairs 0, which runs the traced comparison
+alone), one process per workload again.  For every traced pair the script
+prints each per-layer metric counted in `count` or `B` units whose value
+differs between the sides, or that only one side reports; for every timed
+per-layer metric it prints each side's median over the traced runs and the
+median over pairs of change / parent, so a layer's time is compared within
+pairs and not across the machine's drift.  The traced runs, the differences
+and the times go to the JSON file as well.  The script then exits 1 if any
+run, traced or not, was not correct or had failed operations, listing each
+such run, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / ".ab_bench"
@@ -90,6 +94,24 @@ def run_workload(checkout: Path, workload: str, seed: int, trace: bool) -> dict:
     result["identity_lines"] = [ln for ln in lines if "byte-identical" in ln]
     result["problem_lines"] = [ln for ln in lines if "PROBLEM" in ln]
     return result
+
+
+def run_pairs(checkouts: Dict[str, Path], workloads: List[str], seed: int, pairs: int,
+              trace: bool) -> Tuple[Dict[str, List[dict]], List[List[str]]]:
+    """`pairs` alternating runs per side (odd pairs run the parent first):
+    each side's runs and the order of every pair."""
+    runs: Dict[str, List[dict]] = {"parent": [], "change": []}
+    order = []
+    label = "traced pair" if trace else "pair"
+    for i in range(pairs):
+        sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        order.append(list(sides))
+        for side in sides:
+            result = run_once(checkouts[side], workloads, seed, trace)
+            runs[side].append(result)
+            print(f"{label} {i + 1}/{pairs} {side}: correct={result['correct']} "
+                  f"failed={result['failed']} of {result['attempted']}", flush=True)
+    return runs, order
 
 
 def run_once(checkout: Path, workloads: List[str], seed: int, trace: bool) -> dict:
@@ -151,6 +173,26 @@ def count_differences(traced: Dict[str, dict], per_layer: List[dict]) -> Dict[st
             if values["parent"].get(k) != values["change"].get(k)}
 
 
+def layer_times(traced: Dict[str, List[dict]], per_layer: List[dict]) -> Dict[str, dict]:
+    """For every metric `workload.name` that all traced runs report and whose
+    per-layer `name` is timed (not counted in COUNT_UNITS): each side's
+    median over its runs and the median over pairs of change / parent, taken
+    over the pairs where the parent reads above 0 (None if none does)."""
+    timed = {m["name"] for m in per_layer if m["unit"] not in COUNT_UNITS}
+    all_runs = traced["parent"] + traced["change"]
+    summary = {}
+    for name in all_runs[0]["metrics"]:
+        if name.split(".", 1)[-1] not in timed or any(name not in r["metrics"] for r in all_runs):
+            continue
+        p, c = ([r["metrics"][name]["value"] for r in traced[side]] for side in ("parent", "change"))
+        ratios = [y / x for x, y in zip(p, c) if x > 0]
+        summary[name] = {"unit": all_runs[0]["metrics"][name]["unit"],
+                         "parent": statistics.median(p), "change": statistics.median(c),
+                         "pair_ratio": statistics.median(ratios) if ratios else None,
+                         "ratio_pairs": len(ratios)}
+    return summary
+
+
 def bad_runs(runs: Dict[str, List[dict]]) -> List[str]:
     """One line for each run that was not correct or had failed operations:
     its side, pair, failed count and PROBLEM lines."""
@@ -167,7 +209,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="all")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--trace", action="store_true",
-                        help="also compare one traced run per side: counts that differ")
+                        help="also compare alternating traced pairs: counts and layer times")
     args = parser.parse_args(argv)
     if args.pairs < (0 if args.trace else 1):
         parser.error("--pairs must be at least 1, or 0 with --trace")
@@ -188,17 +230,7 @@ def main(argv=None) -> int:
     workloads = ([w["name"] for w in bench["workloads"]] if args.workload == "all"
                  else [args.workload])
 
-    runs: Dict[str, List[dict]] = {"parent": [], "change": []}
-    order = []
-    for i in range(args.pairs):
-        sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        order.append(list(sides))
-        for side in sides:
-            result = run_once(checkouts[side], workloads, args.seed, False)
-            runs[side].append(result)
-            print(f"pair {i + 1}/{args.pairs} {side}: correct={result['correct']} "
-                  f"failed={result['failed']} of {result['attempted']}", flush=True)
-
+    runs, order = run_pairs(checkouts, workloads, args.seed, args.pairs, False)
     summary = summarise(runs, bench["end_to_end"]) if args.pairs else {}
     for name, s in summary.items():
         p, c = s["parent"], s["change"]
@@ -213,14 +245,25 @@ def main(argv=None) -> int:
               "src_lines": lines, "summary": summary, "runs": runs}
     checked = dict(runs)
     if args.trace:
-        traced = {side: run_once(checkout, workloads, args.seed, True)
-                  for side, checkout in checkouts.items()}
-        differ = count_differences(traced, bench["per_layer"])
-        for name, d in differ.items():
-            print(f"traced count {name}: parent {d['parent']}  change {d['change']}")
+        traced, traced_order = run_pairs(checkouts, workloads, args.seed, max(args.pairs, 1),
+                                         True)
+        differ = [{"pair": i, "metric": name, **d}
+                  for i, (p, c) in enumerate(zip(traced["parent"], traced["change"]), start=1)
+                  for name, d in count_differences({"parent": p, "change": c},
+                                                   bench["per_layer"]).items()]
+        for d in differ:
+            print(f"traced count {d['metric']} in pair {d['pair']}: "
+                  f"parent {d['parent']}  change {d['change']}")
         print(f"traced counts that differ between the sides: {len(differ)}")
-        record["trace"] = {"runs": traced, "differing_counts": differ}
-        checked.update({f"{side} traced": [run] for side, run in traced.items()})
+        times = layer_times(traced, bench["per_layer"])
+        for name, s in times.items():
+            ratio = "n/a" if s["pair_ratio"] is None else f"{s['pair_ratio']:.3f}"
+            print(f"traced {name} [{s['unit']}]: parent {s['parent']:.6g}  "
+                  f"change {s['change']:.6g}  median pair ratio {ratio} "
+                  f"({s['ratio_pairs']} pairs)")
+        record["trace"] = {"order": traced_order, "runs": traced, "differing_counts": differ,
+                           "layer_times": times}
+        checked.update({f"{side} traced": side_runs for side, side_runs in traced.items()})
     path = OUT / f"ab_{args.workload}_seed{args.seed}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"written: {path}")

@@ -97,6 +97,33 @@ def test_ab_bench_reports_each_traced_count_that_differs():
         "w.solver.advect_calls": {"parent": 10, "change": 12}}
 
 
+def test_ab_bench_compares_each_traced_layer_time_within_pairs():
+    ab = _ab_bench()
+
+    def traced(friction, advect, calls=34):
+        return {"metrics": {"w.solver.friction_s": {"value": friction, "unit": "s"},
+                            "w.solver.advect_s": {"value": advect, "unit": "s"},
+                            "w.solver.friction_calls": {"value": calls, "unit": "count"},
+                            "w.cpu_s": {"value": 1.0, "unit": "s"}}}
+
+    per_layer = [{"name": "solver.friction_s", "unit": "s"},
+                 {"name": "solver.advect_s", "unit": "s"},
+                 {"name": "solver.friction_calls", "unit": "count"}]
+    # the machine drifts 2x between pairs; within each pair the change reads
+    # 0.8, 0.9 and 0.5 of the parent, and the sides' medians hide that
+    runs = {"parent": [traced(1.0, 0.0), traced(2.0, 1.0), traced(4.0, 0.0)],
+            "change": [traced(0.8, 0.0), traced(1.8, 2.0), traced(2.0, 0.0)]}
+    times = ab.layer_times(runs, per_layer)
+    assert set(times) == {"w.solver.friction_s", "w.solver.advect_s"}  # no counts, no cpu_s
+    friction, advect = times["w.solver.friction_s"], times["w.solver.advect_s"]
+    assert (friction["parent"], friction["change"], friction["unit"]) == (2.0, 1.8, "s")
+    assert (friction["pair_ratio"], friction["ratio_pairs"]) == (pytest.approx(0.8), 3)
+    # a ratio only over the pairs where the parent's time is above 0
+    assert (advect["pair_ratio"], advect["ratio_pairs"]) == (2.0, 1)
+    no_time = {side: [traced(0.0, 0.0)] for side in ("parent", "change")}
+    assert ab.layer_times(no_time, per_layer)["w.solver.friction_s"]["pair_ratio"] is None
+
+
 def test_ab_bench_lists_each_run_that_is_not_correct_or_has_failed_operations():
     ab = _ab_bench()
 

@@ -12,6 +12,7 @@ from gasnetsim.errors import ConfigurationError, ScheduleError, ValidationError
 from gasnetsim.network import NetworkGraph, PipeSpec
 from gasnetsim.observer import CoupledState, ObserverConfig, step_coupled
 from gasnetsim.physics import IsothermalLaw, riemann_from_state
+from gasnetsim import solver
 from gasnetsim.solver import (
     MODE_CFL_SAFE,
     MODE_EXACT,
@@ -332,8 +333,8 @@ def test_friction_step_gives_the_three_array_bits_under_every_supported_out(pair
     """With no `out`, with the inputs as `out` in either order, and with an
     `out` that shares no memory with them (which leaves them as they were),
     `friction_step` gives the three-array form's bits and warnings, and
-    keeps its return types: scalars give numpy scalars for nu > 0, `out`
-    itself for nu = 0."""
+    returns `(out[0], out[1])` whenever `out` is given; with no `out`,
+    scalars give numpy scalars for nu > 0 and the inputs for nu = 0."""
     if mode in ("inputs", "swapped") and isinstance(pair[0], float):
         pair = [np.array(x) for x in pair]  # a Python float cannot be written to
     kept = [np.array(x) for x in pair]
@@ -352,11 +353,7 @@ def test_friction_step_gives_the_three_array_bits_under_every_supported_out(pair
     else:
         assert_same_bits(out[0].copy(), np.asarray(ref_plus))
         assert_same_bits(out[1].copy(), np.asarray(ref_minus))
-        if nu == 0.0 or out[0].ndim:
-            assert plus is out[0] and minus is out[1]
-        else:
-            assert_same_bits(plus, ref_plus)
-            assert_same_bits(minus, ref_minus)
+        assert plus is out[0] and minus is out[1]
     if mode in ("none", "disjoint"):
         for before, now in zip(kept, pair):
             assert_same_bits(np.asarray(now), before)
@@ -366,6 +363,32 @@ def test_friction_step_gives_the_three_array_bits_under_every_supported_out(pair
 def test_friction_step_rejects_a_bad_coefficient_or_step(nu, dt):
     with pytest.raises(ValidationError):
         friction_step(1.0, 0.0, nu, dt)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.003, 1e3])
+def test_the_shared_friction_constants_stay_read_only_and_unchanged(nu):
+    """Every friction call shares the constant operands 1, 2 and 1/2, so a
+    write to one would silently change every later step: they reject it."""
+    def assert_intact():
+        for c, value in zip((solver._ONE, solver._TWO, solver._HALF), (1.0, 2.0, 0.5)):
+            assert (type(c), c.dtype, c.shape, c.flags.writeable) == (np.ndarray, np.float64,
+                                                                      (), False)
+            assert c.tobytes() == np.float64(value).tobytes()
+
+    assert_intact()
+    for x, y in [(np.array([1.5, -2.0, 0.0, 7e3]), np.array([0.5, 3.0, -0.0, -9e3])),
+                 (np.array(1.5), np.array(-2.0)), (1.5, -2.0)]:
+        friction_step(x, y, nu, 0.5)
+        friction_root(x, nu)
+        friction_root_shifted(x, y, nu)
+        if not isinstance(x, float):
+            friction_step(x, y, nu, 0.5, (x, y))
+    assert_intact()
+    for out in [(solver._ONE, np.empty(())), (np.empty(()), solver._HALF),
+                (solver._TWO, solver._TWO)]:
+        with pytest.raises(ValueError):
+            friction_step(np.array(1.5), np.array(-2.0), nu, 0.5, out)
+    assert_intact()
 
 
 # ---------------------------------------------------------------------------
