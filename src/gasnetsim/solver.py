@@ -10,7 +10,7 @@ tolerances anywhere in the kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
@@ -28,7 +28,10 @@ MODE_CFL_SAFE = "cfl-safe"
 
 @dataclass(slots=True)
 class EdgeGrid:
-    """Cell-centered invariant fields on one pipe; cell i sits at (i + 1/2) dx."""
+    """Cell-centered invariant fields on one pipe; cell i sits at (i + 1/2) dx.
+    It carries their shift views, made with them: a step reads `plus_src`
+    (r_plus[:-1]) and `minus_src` (r_minus[1:]) from a grid and writes
+    `plus_dst` (r_plus[1:]) and `minus_dst` (r_minus[:-1]) into one."""
 
     pipe: PipeId
     n_cells: int
@@ -37,6 +40,10 @@ class EdgeGrid:
     r_plus: np.ndarray
     r_minus: np.ndarray
     length_perturbation: float = 0.0
+    plus_src: np.ndarray = field(init=False, repr=False)
+    minus_src: np.ndarray = field(init=False, repr=False)
+    plus_dst: np.ndarray = field(init=False, repr=False)
+    minus_dst: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n_cells < 2:
@@ -45,6 +52,8 @@ class EdgeGrid:
             raise ValidationError(f"grid on {self.pipe!r}: cfl={self.cfl} exceeds 1")
         if len(self.r_plus) != self.n_cells or len(self.r_minus) != self.n_cells:
             raise ValidationError(f"grid on {self.pipe!r}: field size != n_cells")
+        p, m = self.r_plus, self.r_minus
+        self.plus_src, self.minus_src, self.plus_dst, self.minus_dst = p[:-1], m[1:], p[1:], m[:-1]
 
     @property
     def length(self) -> float:
@@ -134,45 +143,35 @@ def build_grids(graph: NetworkGraph, c: float, dt: float,
 
 
 def advect_step(grid: EdgeGrid, inflow_plus: float, inflow_minus: float,
-                out=None) -> EdgeGrid:
-    """One upwind transport step, into new fields or into `out`, a pair of
-    cell arrays of the grid's size (else ValueError) that does not overlap
-    the grid's fields.
+                out: Optional[EdgeGrid] = None) -> EdgeGrid:
+    """One upwind transport step of `grid` into `out`, a grid of its size
+    (else ValidationError) whose fields do not overlap the grid's, or into a
+    new grid (None); returns `out`.
 
     r_plus moves rightwards with ghost value inflow_plus at x = 0, r_minus
     moves leftwards with ghost value inflow_minus at x = L.  At cfl = 1 the
     update is a pure shift, done as a copy so discontinuities stay sharp.
     """
-    lam = grid.cfl
-    p, m = grid.r_plus, grid.r_minus
-    new_p, new_m = (np.empty_like(p), np.empty_like(m)) if out is None else out
-    # numpy would broadcast the one shifted cell of two; larger sizes it rejects
-    if grid.n_cells == 2 and not len(new_p) == len(new_m) == 2:
+    if out is None:
+        out = _with_fields(grid, np.empty_like(grid.r_plus), np.empty_like(grid.r_minus))
+    elif out.n_cells != grid.n_cells:
         raise ValidationError(f"advect_step on {grid.pipe!r}: out is not of the grid's size")
-    new_p[0] = inflow_plus
-    new_p[1:] = p[:-1]
-    new_m[-1] = inflow_minus
-    new_m[:-1] = m[1:]
+    out.r_plus[0] = inflow_plus
+    out.plus_dst[...] = grid.plus_src
+    out.r_minus[-1] = inflow_minus
+    out.minus_dst[...] = grid.minus_src
+    lam = grid.cfl
     if lam != 1.0:
-        new_p *= lam
-        new_p += (1.0 - lam) * p
-        new_m *= lam
-        new_m += (1.0 - lam) * m
-    g = object.__new__(EdgeGrid)  # `_with_fields`, inlined: this runs per pipe and step
-    g.pipe, g.n_cells, g.dx, g.cfl, g.length_perturbation = \
-        grid.pipe, grid.n_cells, grid.dx, lam, grid.length_perturbation
-    g.r_plus, g.r_minus = new_p, new_m
-    return g
+        out.r_plus *= lam
+        out.r_plus += (1.0 - lam) * grid.r_plus
+        out.r_minus *= lam
+        out.r_minus += (1.0 - lam) * grid.r_minus
+    return out
 
 
 def _with_fields(grid: EdgeGrid, plus: np.ndarray, minus: np.ndarray) -> EdgeGrid:
-    """A copy of `grid` with the fields `plus` and `minus`, of its size, built
-    without EdgeGrid's checks, which `grid` passed."""
-    g = object.__new__(EdgeGrid)
-    g.pipe, g.n_cells, g.dx, g.cfl, g.length_perturbation = \
-        grid.pipe, grid.n_cells, grid.dx, grid.cfl, grid.length_perturbation
-    g.r_plus, g.r_minus = plus, minus
-    return g
+    """A copy of `grid` with the fields `plus` and `minus` and their shift views."""
+    return replace(grid, r_plus=plus, r_minus=minus)
 
 
 # The per-step ufuncs' constant operands, as 0-d arrays that numpy takes as
@@ -343,7 +342,7 @@ def transport(
     # a packed state's grids follow its layout, which follows `graph.pipes`
     for p, g, o, (a, b) in zip(graph.pipes, state.grids.values(), out.grids.values(),
                                state.layout.ends):
-        advect_step(g, outs[a], outs[b], (o.r_plus, o.r_minus))
+        advect_step(g, outs[a], outs[b], o)
         if p.nu > 0.0:
             friction(p, o, state.dt)
     out.step_index = state.step_index + 1

@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -557,15 +557,34 @@ def test_read_slots_follow_the_end_cell_rule(case):
         assert (ends[a], ends[b]) == ((p.from_node, p), (p.to_node, p))
 
 
+def empty_grid_like(g):
+    """A grid of `g`'s geometry over new fields, filled with NaN."""
+    return EdgeGrid(g.pipe, g.n_cells, g.dx, g.cfl, np.full(g.n_cells, np.nan),
+                    np.full(g.n_cells, np.nan), g.length_perturbation)
+
+
+def assert_shift_views(g):
+    """`g`'s shift views view its own fields, each at its offset: `plus_src`
+    r_plus[:-1], `minus_src` r_minus[1:], `plus_dst` r_plus[1:] and
+    `minus_dst` r_minus[:-1]."""
+    for view, fld, first in ((g.plus_src, g.r_plus, 0), (g.minus_src, g.r_minus, 1),
+                             (g.plus_dst, g.r_plus, 1), (g.minus_dst, g.r_minus, 0)):
+        address = fld.__array_interface__["data"][0] + first * fld.strides[0]
+        assert view.__array_interface__["data"][0] == address
+        assert (view.shape, view.strides, view.dtype) == ((g.n_cells - 1,), fld.strides, fld.dtype)
+        assert np.shares_memory(view, fld)
+
+
 @given(layout_cases(), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.booleans())
 def test_advected_grid_equals_a_checked_grid_field_by_field(case, inflow_plus, inflow_minus,
                                                             into_out):
-    """`advect_step` builds its grid without EdgeGrid's checks; the grid
-    equals the one the checked constructor makes."""
+    """`advect_step`'s grid, new or `out`, equals the one the checked
+    constructor makes over its fields, field by field, shift views included."""
     _, grids = case
     for g in grids.values():
-        out = (np.empty(g.n_cells), np.empty(g.n_cells)) if into_out else None
+        out = empty_grid_like(g) if into_out else None
         new = advect_step(g, inflow_plus, inflow_minus, out)
+        assert new is out if into_out else new is not g
         want = EdgeGrid(g.pipe, g.n_cells, g.dx, g.cfl, new.r_plus.copy(), new.r_minus.copy(),
                         g.length_perturbation)
         assert type(new) is EdgeGrid
@@ -576,6 +595,7 @@ def test_advected_grid_equals_a_checked_grid_field_by_field(case, inflow_plus, i
                 assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
             else:
                 assert got == ref
+        assert_shift_views(new)
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=12), st.floats(0.0, 1.0),
@@ -584,8 +604,10 @@ def test_kernel_writes_into_out_with_the_bits_of_new_arrays(cells, cfl, nu, onto
     grid = make_grid(cells, cells[::-1], cfl=cfl)
     kept = grid.r_plus.copy(), grid.r_minus.copy()
     out = np.empty((2, len(cells)))
-    advected = advect_step(grid, 1.5, -2.5, out)
+    into = EdgeGrid("p", len(cells), grid.dx, cfl, out[0], out[1])
+    advected = advect_step(grid, 1.5, -2.5, into)
     want = advect_step(grid, 1.5, -2.5)
+    assert advected is into
     assert np.shares_memory(advected.r_plus, out[0]) and np.shares_memory(advected.r_minus, out[1])
     assert out.tobytes() == np.array([want.r_plus, want.r_minus]).tobytes()
     assert (grid.r_plus.tobytes(), grid.r_minus.tobytes()) == tuple(a.tobytes() for a in kept)
@@ -599,11 +621,54 @@ def test_kernel_writes_into_out_with_the_bits_of_new_arrays(cells, cfl, nu, onto
         assert out.tobytes() == before.tobytes()
 
 
-@pytest.mark.parametrize("cells, sizes", [(2, (1, 2)), (2, (3, 2)), (2, (2, 1)), (2, (2, 3)),
-                                          (5, (4, 5)), (5, (5, 6))])
-def test_advect_step_rejects_an_out_pair_of_another_size(cells, sizes):
-    # at two cells numpy would broadcast the one shifted cell into 1 or 3
-    # cells, so advect_step checks; at more cells numpy's ValueError stands
+# every sign of zero, the smallest subnormals and values up to 1e300
+extreme_floats = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]),
+                           st.floats(-1e300, 1e300))
+
+
+@given(st.integers(2, 40).flatmap(lambda n: st.tuples(
+           st.lists(extreme_floats, min_size=n, max_size=n),
+           st.lists(extreme_floats, min_size=n, max_size=n))),
+       st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_max=True)),
+       extreme_floats, extreme_floats)
+def test_advecting_into_a_grid_gives_the_bits_of_a_new_grid(cells, cfl, inflow_plus,
+                                                            inflow_minus):
+    """In both modes (cfl = 1, the copy, and cfl < 1, the blend), `advect_step`
+    into a grid `out` holding other values writes the bits it writes into a
+    new grid, returns `out` and leaves the input's bits as they were."""
+    grid = make_grid(*cells, cfl=cfl)
+    kept = grid.r_plus.tobytes(), grid.r_minus.tobytes()
+    out = empty_grid_like(grid)
+    want = advect_step(grid, inflow_plus, inflow_minus)
+    assert advect_step(grid, inflow_plus, inflow_minus, out) is out
+    assert (out.r_plus.tobytes(), out.r_minus.tobytes()) == \
+        (want.r_plus.tobytes(), want.r_minus.tobytes())
+    assert (grid.r_plus.tobytes(), grid.r_minus.tobytes()) == kept
+    assert_shift_views(out)
+
+
+@given(layout_cases())
+def test_every_way_of_making_a_grid_makes_its_shift_views(case):
+    """Grids made by the constructor, `dataclasses.replace`,
+    `Layout.packed_state`, `SimState.empty_like` and `advect_step` without
+    `out` each view their own fields through their shift views."""
+    graph, grids = case
+    packed = SimState(grids, dt=0.5).packed_on(graph)
+    made = [*grids.values(), *packed.grids.values(), *packed.empty_like().grids.values()]
+    for g in grids.values():
+        made += [replace(g, r_plus=g.r_plus.copy()), replace(g, r_minus=g.r_minus.copy()),
+                 empty_grid_like(g), advect_step(g, 1.0, -1.0)]
+    for g in made:
+        assert_shift_views(g)
+
+
+@pytest.mark.parametrize("cells, size", [(2, 3), (2, 5), (5, 2), (5, 4), (5, 6), (40, 39),
+                                         (40, 41)])
+def test_advect_step_rejects_an_out_grid_of_another_size(cells, size):
+    """One size rule at every size: an `out` grid of other than the input's
+    n_cells raises ValidationError naming the pipe, before any write."""
     grid = make_grid(np.arange(cells, dtype=float), np.ones(cells))
-    with pytest.raises(ValidationError if cells == 2 else ValueError):
-        advect_step(grid, 1.0, 2.0, tuple(np.zeros(n) for n in sizes))
+    out = EdgeGrid("q", size, 10.0, 1.0, np.zeros(size), np.zeros(size))
+    with pytest.raises(ValidationError, match="^advect_step on 'p': out is not of the grid's size$"):
+        advect_step(grid, 1.0, 2.0, out)
+    assert (out.r_plus.tolist(), out.r_minus.tolist()) == ([0.0] * size, [0.0] * size)
