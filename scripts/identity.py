@@ -22,12 +22,18 @@ scenario with the cell's settings appended (a later record overrides an
 earlier one).  Every cell runs with paths relative to the side's work
 directory, so no message names a side.
 
+Every command also runs, at mu = `mixed` in exact mode, on each input of
+FAILING, which a run must refuse (exit 2: a pipe record the parser refuses,
+a boundary schedule for an interior node, a gain outside [-1, 1], malformed
+GasLib XML) or find diverging (exit 3: a 5e152 m diameter, whose node map
+overflows), so that exit codes and error messages are compared too.
+
 The script lists every output file that only one side wrote or whose
 bytes differ, and every cell whose exit code, standard output or standard
 error differs.  It then prints "N of M identical", counting the output
 files and one exit record (exit code, standard output and standard error)
 per cell, and exits 0 if all are identical, 1 otherwise.  The whole matrix
-takes about 30 s on 2 vCPUs.
+takes 9 to 30 s on 2 vCPUs.
 """
 
 from __future__ import annotations
@@ -56,13 +62,27 @@ HORIZON = "t_end 30"
 COMMANDS = {"observe": ["--snapshots", "0,15,30"], "simulate": ["--snapshots", "0,30"],
             "certify": [], "snapshot": ["--times", "0,12.5,30"]}
 RESULTS = "results.json"
+NETWORK = "gaslib40_like.net"
+# By name: the network's and the scenario's inputs, each as (the bundled file
+# it starts from or None, the lines appended to it).
+FAILING = {
+    "bad-pipe": ((NETWORK, "pipe 0-99 0 99 -340 0.5"), ("step_friction.scn", "")),
+    "interior-schedule": ((NETWORK, ""), ("step_friction.scn", "boundary 3 0 60 0")),
+    "gain-1.5": ((NETWORK, ""), ("step_friction.scn", "mu node 5 1.5")),
+    "malformed-xml": ((None, "<network><pipe id='a' from='0' to='1'></network>"),
+                      ("step_friction.scn", "")),
+    "huge-diameter": ((None, "pipe a 0 3 340 5e152\npipe b 3 1 680 0.4\npipe c 3 2 340 0.3"),
+                      (None, "theta 0.02\ndt 0.5")),
+}
 # the cell tier-1 checks against committed fingerprints: blend, friction, mixed gains
 FINGERPRINT_CELL = ("step_friction", "mixed", "cflsafe", "observe")
 
 
 def cells() -> List[Tuple[str, str, str, str]]:
-    """Every (scenario, gains, mode, command) of the matrix."""
-    return [(s, g, m, c) for s in SCENARIOS for g in GAINS for m in MODES for c in COMMANDS]
+    """Every (scenario, gains, mode, command) of the matrix, then every
+    command on every input of FAILING."""
+    return [(s, g, m, c) for s in SCENARIOS for g in GAINS for m in MODES for c in COMMANDS] + \
+        [(f, "mixed", "exact", c) for f in FAILING for c in COMMANDS]
 
 
 def cell_name(cell: Tuple[str, str, str, str]) -> str:
@@ -80,11 +100,15 @@ def run_cell(cell: Tuple[str, str, str, str], work: Path) -> Dict[str, object]:
     name = cell_name(cell)
     inputs = work / "inputs"
     inputs.mkdir(parents=True, exist_ok=True)
-    text = bundled_path(f"{scenario}.scn").read_text()
+
+    def text(base, extra):  # the bundled file `base` (or none), then the lines `extra`
+        return "\n".join(filter(None, [bundled_path(base).read_text() if base else "", extra]))
+
+    net_input, scn_input = FAILING.get(scenario, ((NETWORK, ""), (f"{scenario}.scn", "")))
     scn = Path("inputs") / f"{scenario}-{gains}-{mode}.scn"
-    (work / scn).write_text(f"{text}\n{HORIZON}\n{GAINS[gains]}\n{MODES[mode]}\n")
-    net = Path("inputs") / "gaslib40_like.net"
-    (work / net).write_bytes(bundled_path(net.name).read_bytes())
+    (work / scn).write_text(f"{text(*scn_input)}\n{HORIZON}\n{GAINS[gains]}\n{MODES[mode]}\n")
+    net = Path("inputs") / (f"{scenario}.net" if scenario in FAILING else NETWORK)
+    (work / net).write_text(text(*net_input))
     argv = [command, "--network", str(net), "--scenario", str(scn), "--out", f"out/{name}",
             *COMMANDS[command]]
     stdout, stderr = io.StringIO(), io.StringIO()

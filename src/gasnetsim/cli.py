@@ -106,7 +106,9 @@ def write_observe_outputs(out: Path, result: RunResult, window: Tuple[float, flo
     lines.append(f"b_tilde = {_fmt(result.b_tilde)}")
     _write_series_csv(out / "l0.csv", "t,l0", zip(series.times.tolist(), series.l0.tolist()))
     _write_series_csv(out / "l1.csv", "t,l1", zip(series.times.tolist(), series.l1.tolist()))
-    _write_series_csv(out / "residuals.csv", "t,node,residual", result.residuals)
+    _write(out / "residuals.csv", "t,node,residual",  # the bytes of `_write_series_csv`, faster
+           (f"{_fmt(t) if isinstance(t, float) else t},{v},{float(res)!r}\n"
+            for t, v, res in result.residuals))
     _write_snapshots(out, result.snapshots)
     _write(out / "rates.txt", "\n".join(lines), ())
 
@@ -117,13 +119,8 @@ def _cmd_observe(args, graph: NetworkGraph, scenario: ScenarioSpec) -> int:
     if args.residual_stride < 0:
         raise ValidationError(f"--residual-stride must be >= 0, got {args.residual_stride}")
     snap_times = _parse_times(args.snapshots, "--snapshots") or [0.0, t_end / 2.0, t_end]
-    result = run_observer_pair(
-        graph,
-        scenario,
-        record_l1=True,
-        residual_stride=args.residual_stride,
-        snapshot_times=snap_times,
-    )
+    result = run_observer_pair(graph, scenario, record_l1=True,
+                               residual_stride=args.residual_stride, snapshot_times=snap_times)
     write_observe_outputs(Path(args.out), result, window)
     return EXIT_OK
 
@@ -145,9 +142,8 @@ def _cmd_snapshot(args, graph: NetworkGraph, scenario: ScenarioSpec) -> int:
     snap_times = _parse_times(args.times, "--times")
     if not snap_times:
         raise ValidationError("snapshot needs --times t1[,t2,...]")
-    result = run_observer_pair(
-        graph, scenario, record_l1=False, residual_stride=0, snapshot_times=snap_times
-    )
+    result = run_observer_pair(graph, scenario, record_l1=False, residual_stride=0,
+                               snapshot_times=snap_times)
     _write_snapshots(Path(args.out), result.snapshots)
     return EXIT_OK
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import sys
-import xml.etree.ElementTree as ET
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -117,6 +116,7 @@ _REJECTED_ELEMENTS = {
 
 
 def _parse_gaslib(text: str) -> NetworkGraph:
+    import xml.etree.ElementTree as ET  # imported here: only a GasLib read needs it
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:

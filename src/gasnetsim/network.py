@@ -121,25 +121,37 @@ def junction_outflow(incoming: Mapping[PipeId, float], diameters: Mapping[PipeId
     Degree-1 node: ``boundary_gain`` must supply (mu, u) and the output is
     `boundary_outflow`.
     """
-    if incoming.keys() != diameters.keys():
-        raise ValidationError("junction_outflow: incoming/diameter keys differ")
-    if not incoming:
+    # Per node call: the fold's key lookups, not a key-set compare; a loop, not a comprehension.
+    n, differ = len(incoming), "junction_outflow: incoming/diameter keys differ"
+    if n != len(diameters):
+        raise ValidationError(differ)
+    if not n:
         raise ValidationError("junction_outflow: empty node")
-    if len(incoming) == 1:
+    if n == 1:
+        ((e, r_in),) = incoming.items()
+        if e not in diameters:
+            raise ValidationError(differ)
         if boundary_gain is None:
             raise ValidationError("degree-1 node needs boundary_gain=(mu, u)")
         mu, u = boundary_gain
-        check_gain(mu, None)
-        ((e, r_in),) = incoming.items()
+        if not abs(mu) <= 1.0:
+            check_gain(mu, None)
         return {e: boundary_outflow(mu, u, r_in)}
     if boundary_gain is not None:
-        raise ValidationError("interior node takes no boundary_gain")
-    table = node_table(diameters)
-    w, squares = table.omega, table.squares
-    total = 0.0
+        raise ValidationError(differ if incoming.keys() != diameters.keys()
+                              else "interior node takes no boundary_gain")
+    table, total, out = node_table(diameters), 0.0, {}
+    try:
+        w, squares = table.omega, table.squares
+        for e, r in incoming.items():
+            total += squares[e] * r
+    except Exception:  # a key not in the table, or an error that a key mismatch precedes
+        if incoming.keys() != diameters.keys():
+            raise ValidationError(differ) from None
+        raise
     for e, r in incoming.items():
-        total += squares[e] * r
-    return {e: w * total - r for e, r in incoming.items()}
+        out[e] = w * total - r
+    return out
 
 
 def boundary_outflow(mu: float, u: float, r_in: float) -> float:

@@ -70,15 +70,22 @@ def diff_junction_outflow(
     delta_out_e = mu * (omega_v * sum_g D_g^2 delta_in_g - delta_in_e), which
     satisfies sum D^2 |delta_out|^2 = mu^2 sum D^2 |delta_in|^2.
     """
-    check_gain(mu, None)
-    if delta_in.keys() != diameters.keys():
+    if not abs(mu) <= 1.0:  # the checks and loops of `junction_outflow`
+        check_gain(mu, None)
+    if len(delta_in) != len(diameters):
         raise ValidationError("diff_junction_outflow: key mismatch")
-    table = node_table(diameters)
-    w, squares = table.omega, table.squares
-    total = 0.0
+    table, total, out = node_table(diameters), 0.0, {}
+    try:
+        w, squares = table.omega, table.squares
+        for e, d in delta_in.items():
+            total += squares[e] * d
+    except Exception:
+        if delta_in.keys() != diameters.keys():
+            raise ValidationError("diff_junction_outflow: key mismatch") from None
+        raise
     for e, d in delta_in.items():
-        total += squares[e] * d
-    return {e: mu * (w * total - d) for e, d in delta_in.items()}
+        out[e] = mu * (w * total - d)
+    return out
 
 
 def error_outflow(

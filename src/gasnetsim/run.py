@@ -203,9 +203,10 @@ def run_observer_pair(
             collect = residual_stride > 0 and (k - 1) % residual_stride == 0
             nxt, traces = step_coupled(cs, net, collect_nodal=collect, out=spare)
             cs, spare = nxt, cs
+            t = (k - 1) * dt  # once per step, for every row of the step
             for v, tr in (traces or {}).items():
                 res = nodal_energy_residual(tr.delta_in, tr.delta_out, tr.mu, net.diameters_at(v))
-                residuals.append(((k - 1) * dt, v, res))
+                residuals.append((t, v, res))
         s, r, (d, d_views) = cs.s_state.packed, cs.r_state.packed, delta
         np.subtract(r, s, d)
         times[k] = cs.t
@@ -221,15 +222,8 @@ def run_observer_pair(
             snapshots.append(SnapshotFrame(cs.t, layout, *d.copy()))  # d is written again
         delta, prev = prev, delta
 
-    series = LyapunovSeries(times=times, l0=l0, l1=l1)
-    return RunResult(
-        series=series,
-        residuals=residuals,
-        m_tilde=tracker.m_tilde,
-        b_tilde=tracker.b_tilde,
-        snapshots=snapshots,
-        graph=asm.graph,
-    )
+    return RunResult(LyapunovSeries(times=times, l0=l0, l1=l1), residuals, tracker.m_tilde,
+                     tracker.b_tilde, snapshots, asm.graph)
 
 
 def run_truth(

@@ -31,3 +31,17 @@ def test_one_identity_cell_writes_its_committed_fingerprints(tmp_path):
     assert cell in identity.cells()
     assert identity.run_cell(cell, tmp_path) == want["record"]
     assert identity.fingerprints(tmp_path / "out") == want["files"]
+
+
+def test_failing_cells_exit_2_or_3_with_one_error_line_and_no_output(tmp_path):
+    """The cells on FAILING's inputs reach the refusals and the blow-up they
+    are there for, so the matrix compares error exits and messages too."""
+    identity = _identity()
+    failing = [c for c in identity.cells() if c[0] in identity.FAILING]
+    assert len(failing) == len(identity.FAILING) * len(identity.COMMANDS)
+    for cell in failing:
+        record = identity.run_cell(cell, tmp_path)
+        code, prefix = (3, "numerical error: ") if cell[0] == "huge-diameter" else (2, "error: ")
+        assert record["exit"] == code and record["stdout"] == [], cell
+        assert len(record["stderr"]) == 1 and record["stderr"][0].startswith(prefix), cell
+    assert not (tmp_path / "out").exists()

@@ -1067,6 +1067,19 @@ def test_cli_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_the_xml_parser_unloaded():
+    """Only a GasLib read imports xml.etree.ElementTree: no bundled input is XML."""
+    code = ("import sys, gasnetsim.cli, gasnetsim.fileio as f\n"
+            "print('xml.etree.ElementTree' in sys.modules)\n"
+            "f.parse_network(\"<network><pipe from='a' to='b'><length value='1'/>"
+            "<diameter value='0.5'/></pipe></network>\")\n"
+            "print('xml.etree.ElementTree' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split() == ["False", "True"]
+
+
 def _run_experiments(tmp_path, *args):
     """The sweep script in a subprocess without PYTHONPATH, as from a plain checkout."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}

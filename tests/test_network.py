@@ -99,6 +99,122 @@ def test_junction_validation():
         diff_junction_outflow({"a": 1.0, "b": 2.0}, {"a": 1.0, "c": 1.0}, 0.5)
 
 
+DIFFER = "junction_outflow: incoming/diameter keys differ"
+NAN = math.nan
+
+
+def outcome(call):
+    """(type, text) of the exception `call()` raises, or (None, repr) of
+    what it returns."""
+    try:
+        got = call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None, repr(got)
+
+
+# Node values, diameters, boundary gain, and the outcome that `junction_outflow`
+# gave while it compared key sets before any other check: the exception's
+# type and text, or the repr of the map it returned.
+JUNCTION_OUTCOMES = {
+    "deg1-other-key": (
+        {"a": 1.0}, {"b": 0.5}, (0.5, 2.0), (ValidationError, DIFFER)),
+    "deg1-other-key-no-gain": (
+        {"a": 1.0}, {"b": 0.5}, None, (ValidationError, DIFFER)),
+    "deg1-of-deg2-table": (
+        {"a": 1.0}, {"a": 0.5, "b": 0.6}, (0.5, 2.0), (ValidationError, DIFFER)),
+    "deg2-of-deg1-table": (
+        {"a": 1.0, "b": 2.0}, {"a": 0.5}, (0.5, 2.0), (ValidationError, DIFFER)),
+    "deg2-other-key": (
+        {"a": 1.0, "b": 2.0}, {"a": 0.5, "c": 0.6}, None, (ValidationError, DIFFER)),
+    "deg2-of-deg3-table": (
+        {"a": 1.0, "b": 2.0}, {"a": 0.5, "b": 0.6, "c": 0.7}, None, (ValidationError, DIFFER)),
+    "deg3-of-deg2-table": (
+        {"a": 1.0, "b": 2.0, "c": 3.0}, {"a": 0.5, "b": 0.6}, None, (ValidationError, DIFFER)),
+    "deg3-other-key": (
+        {"a": 1.0, "b": 2.0, "c": 3.0}, {"a": 0.5, "b": 0.6, "d": 0.7}, None,
+        (ValidationError, DIFFER)),
+    "deg4-two-other-keys": (
+        {"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0}, {"e": 0.5, "b": 0.6, "c": 0.7, "f": 0.8}, None,
+        (ValidationError, DIFFER)),
+    "deg3-keys-in-another-order": (
+        {"c": 3.0, "a": 1.0, "b": 2.0}, {"a": 0.5, "b": 0.6, "c": 0.7}, None,
+        (None, "{'c': 1.4363636363636356, 'a': 3.4363636363636356, 'b': 2.4363636363636356}")),
+    "empty": (
+        {}, {}, None, (ValidationError, "junction_outflow: empty node")),
+    "empty-with-gain": (
+        {}, {}, (0.5, 2.0), (ValidationError, "junction_outflow: empty node")),
+    "empty-of-deg1-table": (
+        {}, {"a": 0.5}, (0.5, 2.0), (ValidationError, DIFFER)),
+    "deg1-no-gain": (
+        {"a": 1.0}, {"a": 0.5}, None,
+        (ValidationError, "degree-1 node needs boundary_gain=(mu, u)")),
+    "deg1": (
+        {"a": 1.0}, {"a": 0.5}, (0.5, 2.0), (None, "{'a': 1.5}")),
+    "deg2-with-gain": (
+        {"a": 1.0, "b": 2.0}, {"a": 0.5, "b": 0.6}, (0.5, 2.0),
+        (ValidationError, "interior node takes no boundary_gain")),
+    "deg2-with-gain-other-key": (
+        {"a": 1.0, "b": 2.0}, {"a": 0.5, "c": 0.6}, (0.5, 2.0), (ValidationError, DIFFER)),
+    "deg2-with-gain-of-deg3-table": (
+        {"a": 1.0, "b": 2.0}, {"a": 0.5, "b": 0.6, "c": 0.7}, (0.5, 2.0),
+        (ValidationError, DIFFER)),
+    "deg3-with-gain-mu-1.5-other-key": (
+        {"a": 1.0, "b": 2.0, "c": 3.0}, {"a": 0.5, "b": 0.6, "d": 0.7}, (1.5, 2.0),
+        (ValidationError, DIFFER)),
+    "deg1-mu-1.5": (
+        {"a": 1.0}, {"a": 0.5}, (1.5, 2.0), (ValidationError, "mu is 1.5, outside [-1, 1]")),
+    "deg1-mu-nan": (
+        {"a": 1.0}, {"a": 0.5}, (NAN, 2.0), (ValidationError, "mu is nan, outside [-1, 1]")),
+    "deg1-mu-1.5-other-key": (
+        {"a": 1.0}, {"b": 0.5}, (1.5, 2.0), (ValidationError, DIFFER)),
+    "deg1-mu-nan-other-key": (
+        {"a": 1.0}, {"b": 0.5}, (NAN, 2.0), (ValidationError, DIFFER)),
+    "deg1-mu-nan-of-deg2-table": (
+        {"a": 1.0}, {"a": 0.5, "b": 0.6}, (NAN, 2.0), (ValidationError, DIFFER)),
+    "deg1-gain-not-a-pair": (
+        {"a": 1.0}, {"a": 0.5}, (0.5,),
+        (ValueError, "not enough values to unpack (expected 2, got 1)")),
+    "deg2-zero-diameter": (
+        {"a": 1.0, "b": 2.0}, {"a": 0.0, "b": 0.6}, None,
+        (ValidationError, "omega_v: diameters must be positive")),
+    "deg2-zero-diameter-other-key": (
+        {"a": 1.0, "b": 2.0}, {"a": 0.0, "c": 0.6}, None, (ValidationError, DIFFER)),
+    "deg2-nan-diameter-other-key": (
+        {"a": 1.0, "b": 2.0}, {"a": NAN, "c": 0.6}, None, (ValidationError, DIFFER)),
+    "deg2-square-overflows": (
+        {"a": 1.0, "b": 2.0}, {"a": 1e+200, "b": 0.6}, None,
+        (OverflowError, "(34, 'Numerical result out of range')")),
+    "deg2-square-overflows-other-key": (
+        {"a": 1.0, "b": 2.0}, {"a": 1e+200, "c": 0.6}, None, (ValidationError, DIFFER)),
+    "deg2-negative-square-overflows": (
+        {"a": 1.0, "b": 2.0}, {"a": -1e+200, "b": 0.6}, None,
+        (ValidationError, "omega_v: diameters must be positive")),
+    "deg2-text-diameter": (
+        {"a": 1.0, "b": 2.0}, {"a": "0.5", "b": 0.6}, None,
+        (TypeError, "'>' not supported between instances of 'str' and 'int'")),
+    "deg2-text-diameter-other-key": (
+        {"a": 1.0, "b": 2.0}, {"a": "0.5", "c": 0.6}, None, (ValidationError, DIFFER)),
+    "deg2-text-value": (
+        {"a": "1", "b": 2.0}, {"a": 0.5, "b": 0.6}, None,
+        (TypeError, "can't multiply sequence by non-int of type 'float'")),
+    "deg2-text-value-other-key": (
+        {"a": "1", "b": 2.0}, {"a": 0.5, "c": 0.6}, None, (ValidationError, DIFFER)),
+    "deg2-text-value-zero-diameter": (
+        {"a": "1", "b": 2.0}, {"a": 0.0, "b": 0.6}, None,
+        (ValidationError, "omega_v: diameters must be positive")),
+}
+
+
+@pytest.mark.parametrize("table", [NodeDiameters, dict])
+@pytest.mark.parametrize("case", JUNCTION_OUTCOMES)
+def test_junction_outflow_raises_the_same_errors_in_the_same_order(case, table):
+    """A length compare and the fold's key lookups find every key mismatch
+    that a key-set compare found, and before every other check."""
+    incoming, diam, gain, want = JUNCTION_OUTCOMES[case]
+    assert outcome(lambda: junction_outflow(incoming, table(diam), gain)) == want
+
+
 def test_node_plan_is_reused_until_a_mapping_changes(five_pipe):
     controls = {v: (lambda t: 0.0) for v in five_pipe.boundary_nodes}
     gains = {v: 0.5 for v in five_pipe.nodes}

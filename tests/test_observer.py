@@ -1,3 +1,5 @@
+import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +17,7 @@ from gasnetsim.observer import (
     difference_state,
     diff_junction_outflow,
     direct_diff_step,
+    error_outflow,
     observer_node_update,
     step_coupled,
 )
@@ -509,6 +512,192 @@ def test_node_maps_give_the_same_bits_on_a_graph_table_as_on_a_plain_dict(case):
             res = nodal_energy_residual(d_in, d_out, mu[v], diam)
             got.append([x.hex() for x in (*s_out.values(), *r_out.values(), *d_out.values(), res)])
         assert got[0] == got[1]
+
+
+MISMATCH = "diff_junction_outflow: key mismatch"
+NAN = math.nan
+
+
+def outcome(call):
+    """(type, text) of the exception `call()` raises, or (None, repr) of
+    what it returns."""
+    try:
+        got = call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None, repr(got)
+
+
+# Error values, diameters, mu, and the outcomes of `diff_junction_outflow`,
+# `error_outflow` and `nodal_energy_residual(values, values, mu, diameters)`
+# while the maps compared key sets after the gain check and before any other:
+# the exception's type and text, or the repr of what the call returned.
+ERROR_MAP_OUTCOMES = {
+    "deg1-other-key": (
+        {"a": 1.0}, {"b": 0.5}, 0.5, (ValidationError, MISMATCH), (None, "{'a': 0.5}"),
+        (KeyError, "'a'")),
+    "deg1-of-deg2-table": (
+        {"a": 1.0}, {"a": 0.5, "b": 0.6}, 0.5, (ValidationError, MISMATCH), (None, "{'a': 0.5}"),
+        (None, "0.75")),
+    "deg2-of-deg1-table": (
+        {"a": 1.0, "b": 2.0}, {"a": 0.5}, 0.5, (ValidationError, MISMATCH),
+        (ValidationError, MISMATCH), (KeyError, "'b'")),
+    "deg2-other-key": (
+        {"a": 1.0, "b": 2.0}, {"a": 0.5, "c": 0.6}, 0.5, (ValidationError, MISMATCH),
+        (ValidationError, MISMATCH), (KeyError, "'b'")),
+    "deg2-of-deg3-table": (
+        {"a": 1.0, "b": 2.0}, {"a": 0.5, "b": 0.6, "c": 0.7}, 0.5, (ValidationError, MISMATCH),
+        (ValidationError, MISMATCH), (None, "0.7500000000000001")),
+    "deg3-of-deg2-table": (
+        {"a": 1.0, "b": 2.0, "c": 3.0}, {"a": 0.5, "b": 0.6}, 0.5, (ValidationError, MISMATCH),
+        (ValidationError, MISMATCH), (KeyError, "'c'")),
+    "deg3-other-key": (
+        {"a": 1.0, "b": 2.0, "c": 3.0}, {"a": 0.5, "b": 0.6, "d": 0.7}, 0.5,
+        (ValidationError, MISMATCH), (ValidationError, MISMATCH), (KeyError, "'c'")),
+    "deg4-two-other-keys": (
+        {"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0}, {"e": 0.5, "b": 0.6, "c": 0.7, "f": 0.8}, 0.5,
+        (ValidationError, MISMATCH), (ValidationError, MISMATCH), (KeyError, "'a'")),
+    "deg3-keys-in-another-order": (
+        {"c": 3.0, "a": 1.0, "b": 2.0}, {"a": 0.5, "b": 0.6, "c": 0.7}, 0.5,
+        (None, "{'c': 0.7181818181818178, 'a': 1.7181818181818178, 'b': 1.2181818181818178}"),
+        (None, "{'c': 0.7181818181818178, 'a': 1.7181818181818178, 'b': 1.2181818181818178}"),
+        (None, "0.7499999999999999")),
+    "empty": (
+        {}, {}, 0.5, (ValidationError, "omega_v needs at least one diameter"),
+        (ValidationError, "omega_v needs at least one diameter"), (None, "0.0")),
+    "empty-of-deg1-table": (
+        {}, {"a": 0.5}, 0.5, (ValidationError, MISMATCH), (ValidationError, MISMATCH),
+        (None, "0.0")),
+    "deg1": (
+        {"a": 1.0}, {"a": 0.5}, 0.5, (None, "{'a': 0.5}"), (None, "{'a': 0.5}"), (None, "0.75")),
+    "deg1-mu-1.5": (
+        {"a": 1.0}, {"a": 0.5}, 1.5, (ValidationError, "mu is 1.5, outside [-1, 1]"),
+        (None, "{'a': 1.5}"), (None, "1.25")),
+    "deg1-mu-nan-other-key": (
+        {"a": 1.0}, {"b": 0.5}, NAN, (ValidationError, "mu is nan, outside [-1, 1]"),
+        (None, "{'a': nan}"), (KeyError, "'a'")),
+    "deg2-mu-1.5": (
+        {"a": 1.0, "b": 2.0}, {"a": 0.5, "b": 0.6}, 1.5,
+        (ValidationError, "mu is 1.5, outside [-1, 1]"),
+        (ValidationError, "mu is 1.5, outside [-1, 1]"), (None, "1.25")),
+    "deg2-mu-1.5-other-key": (
+        {"a": 1.0, "b": 2.0}, {"a": 0.5, "c": 0.6}, 1.5,
+        (ValidationError, "mu is 1.5, outside [-1, 1]"),
+        (ValidationError, "mu is 1.5, outside [-1, 1]"), (KeyError, "'b'")),
+    "deg3-mu-nan-other-key": (
+        {"a": 1.0, "b": 2.0, "c": 3.0}, {"a": 0.5, "b": 0.6, "d": 0.7}, NAN,
+        (ValidationError, "mu is nan, outside [-1, 1]"),
+        (ValidationError, "mu is nan, outside [-1, 1]"), (KeyError, "'c'")),
+    "deg2-mu-nan-of-deg3-table": (
+        {"a": 1.0, "b": 2.0}, {"a": 0.5, "b": 0.6, "c": 0.7}, NAN,
+        (ValidationError, "mu is nan, outside [-1, 1]"),
+        (ValidationError, "mu is nan, outside [-1, 1]"), (None, "nan")),
+    "deg2-zero-diameter": (
+        {"a": 1.0, "b": 2.0}, {"a": 0.0, "b": 0.6}, 0.5,
+        (ValidationError, "omega_v: diameters must be positive"),
+        (ValidationError, "omega_v: diameters must be positive"), (None, "0.7500000000000001")),
+    "deg2-zero-diameter-other-key": (
+        {"a": 1.0, "b": 2.0}, {"a": 0.0, "c": 0.6}, 0.5, (ValidationError, MISMATCH),
+        (ValidationError, MISMATCH), (KeyError, "'b'")),
+    "deg2-square-overflows": (
+        {"a": 1.0, "b": 2.0}, {"a": 1e+200, "b": 0.6}, 0.5,
+        (OverflowError, "(34, 'Numerical result out of range')"),
+        (OverflowError, "(34, 'Numerical result out of range')"),
+        (OverflowError, "(34, 'Numerical result out of range')")),
+    "deg2-square-overflows-other-key": (
+        {"a": 1.0, "b": 2.0}, {"a": 1e+200, "c": 0.6}, 0.5, (ValidationError, MISMATCH),
+        (ValidationError, MISMATCH), (OverflowError, "(34, 'Numerical result out of range')")),
+    "deg2-negative-square-overflows": (
+        {"a": 1.0, "b": 2.0}, {"a": -1e+200, "b": 0.6}, 0.5,
+        (ValidationError, "omega_v: diameters must be positive"),
+        (ValidationError, "omega_v: diameters must be positive"),
+        (OverflowError, "(34, 'Numerical result out of range')")),
+    "deg2-text-diameter-other-key": (
+        {"a": 1.0, "b": 2.0}, {"a": "0.5", "c": 0.6}, 0.5, (ValidationError, MISMATCH),
+        (ValidationError, MISMATCH),
+        (TypeError, "unsupported operand type(s) for ** or pow(): 'str' and 'int'")),
+    "deg2-text-value": (
+        {"a": "1", "b": 2.0}, {"a": 0.5, "b": 0.6}, 0.5,
+        (TypeError, "can't multiply sequence by non-int of type 'float'"),
+        (TypeError, "can't multiply sequence by non-int of type 'float'"),
+        (TypeError, "unsupported operand type(s) for ** or pow(): 'str' and 'int'")),
+}
+
+
+@pytest.mark.parametrize("table", [NodeDiameters, dict])
+@pytest.mark.parametrize("case", ERROR_MAP_OUTCOMES)
+def test_error_maps_raise_the_same_errors_in_the_same_order(case, table):
+    """A length compare and the fold's key lookups find every key mismatch
+    that a key-set compare found, after the gain check and before every
+    other check; the nodal residual, which has no key check, is unchanged."""
+    delta, diam, mu, *want = ERROR_MAP_OUTCOMES[case]
+    assert [outcome(lambda: diff_junction_outflow(delta, table(diam), mu)),
+            outcome(lambda: error_outflow(delta, table(diam), mu)),
+            outcome(lambda: nodal_energy_residual(delta, delta, mu, table(diam)))] == want
+
+
+@pytest.mark.parametrize("table", [NodeDiameters, dict])
+def test_nodal_residual_raises_on_an_out_key_not_in_the_table(table):
+    for delta_out in ({"a": 1.0, "c": 2.0}, {"a": 1.0, "b": 2.0, "c": 3.0}):
+        assert outcome(lambda: nodal_energy_residual({"a": 1.0, "b": 2.0}, delta_out, 0.5,
+                                                     table({"a": 0.5, "b": 0.6}))) == \
+            (KeyError, "'c'")
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, math.inf, -math.inf, math.nan]
+
+
+def left_fold(xs):
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
+def float_bits(xs):
+    return [struct.pack("<d", x) for x in xs]
+
+
+@given(st.lists(st.tuples(st.floats(0.05, 5.0), st.one_of(st.sampled_from(EDGE_VALUES),
+                                                          st.floats(-1e300, 1e300))),
+                min_size=1, max_size=6).flatmap(
+           lambda pipes: st.tuples(st.just(pipes), st.permutations(range(len(pipes))))),
+       st.floats(-1.0, 1.0), st.sampled_from(EDGE_VALUES[:6] + [1300.0]))
+def test_node_maps_give_the_bits_of_left_folds_in_any_key_order(case, mu, u):
+    """On a graph table and on a plain dict, with the node values keyed in
+    the table's order or in another: the node maps and the nodal residual
+    give the bits of the left folds of their formulas, written out here,
+    and each map's output keeps the values' key order."""
+    pipes, order = case
+    ids = [f"e{i}" for i in range(len(pipes))]
+    diam = {e: d for e, (d, _) in zip(ids, pipes)}
+    values = {ids[i]: pipes[i][1] for i in order}
+    w = 2.0 / left_fold(d * d for d in diam.values())
+    total = left_fold(diam[e] ** 2 * r for e, r in values.items())
+    if len(values) == 1:
+        ((e, r),) = values.items()
+        want_truth = {e: (1.0 - mu) * u + mu * r}
+        want_error = {e: mu * r}
+    else:
+        want_truth = {e: w * total - r for e, r in values.items()}
+        want_error = {e: mu * (w * total - r) for e, r in values.items()}
+    want_diff = {e: mu * (w * total - r) for e, r in values.items()}
+
+    def residual():  # a finite value past 1.3e154 overflows `** 2`, as in the residual
+        in_sum = left_fold(diam[e] ** 2 * r ** 2 for e, r in values.items())
+        out_sum = left_fold(diam[e] ** 2 * d ** 2 for e, d in want_diff.items())
+        return float_bits([(0.0 if out_sum == 0.0 else math.inf) if in_sum == 0.0
+                           else abs(out_sum - mu * mu * in_sum) / in_sum])
+
+    for table in (NodeDiameters(diam), dict(diam)):
+        gain = (mu, u) if len(values) == 1 else None
+        for got, want in ((junction_outflow(values, table, gain), want_truth),
+                          (diff_junction_outflow(values, table, mu), want_diff),
+                          (error_outflow(values, table, mu), want_error)):
+            assert list(got) == list(values) == list(want)
+            assert float_bits(got.values()) == float_bits(want.values())
+        assert outcome(lambda: float_bits([nodal_energy_residual(values, want_diff, mu, table)])) \
+            == outcome(residual)
 
 
 def assert_discrete_energy_budget(graph, cs):
