@@ -26,7 +26,8 @@ Every command also runs, at mu = `mixed` in exact mode, on each input of
 FAILING, which a run must refuse (exit 2: a pipe record the parser refuses,
 a boundary schedule for an interior node, a gain outside [-1, 1], malformed
 GasLib XML) or find diverging (exit 3: a 5e152 m diameter, whose node map
-overflows), so that exit codes and error messages are compared too.
+overflows; a lone pipe of 1e153 m, whose L0 overflows on finite cells, which
+simulate runs through), so that exit codes and error messages are compared too.
 
 The script lists every output file that only one side wrote or whose
 bytes differ, and every cell whose exit code, standard output or standard
@@ -73,6 +74,8 @@ FAILING = {
                       ("step_friction.scn", "")),
     "huge-diameter": ((None, "pipe a 0 3 340 5e152\npipe b 3 1 680 0.4\npipe c 3 2 340 0.3"),
                       (None, "theta 0.02\ndt 0.5")),
+    "l0-overflow": ((None, "pipe a 0 1 340 1e153"),
+                    (None, "theta 0.02\ndt 0.5\nic S a half_step 60 2\nic R a half_step 60 1")),
 }
 # the cell tier-1 checks against committed fingerprints: blend, friction, mixed gains
 FINGERPRINT_CELL = ("step_friction", "mixed", "cflsafe", "observe")

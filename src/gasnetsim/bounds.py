@@ -201,13 +201,8 @@ class DecayCertificate:
     h1_holds: bool
 
 
-def decay_certificates(
-    graph: NetworkGraph,
-    mu: Mapping[NodeId, float],
-    m_tilde: float,
-    b_tilde: float,
-    c: float,
-) -> DecayCertificate:
+def decay_certificates(graph: NetworkGraph, mu: Mapping[NodeId, float], m_tilde: float,
+                       b_tilde: float, c: float) -> DecayCertificate:
     """Evaluate the decay conditions.
 
     With T0 = max_e L_e / c the L2 functional obeys

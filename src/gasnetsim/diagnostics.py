@@ -3,9 +3,11 @@ estimates extracted from simulation runs."""
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,6 +76,21 @@ def quadrature(fields: Sequence[Tuple[np.ndarray, np.ndarray]],
     return total
 
 
+def block_quadratures(blocks: Sequence[np.ndarray], weights: np.ndarray, dots: np.ndarray,
+                      m: int) -> List[float]:
+    """The `quadrature` of each of the first m frames of a block, bit for bit:
+    with pipe i's (frames, 2, cells) view `blocks[i]`, the L0 `weights` as an
+    array and a (pipes, frames, 2) `dots` to hold the sums of squares.  Each
+    `np.vecdot` dot is the BLAS dot of `a.dot(a)`, and each frame's terms are
+    summed in pipe order in Python floats; the floating-point flags that the
+    gufuncs raise, and `a.dot(a)` and Python floats do not, are ignored."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, out in zip(blocks, dots):
+            np.vecdot(x, x, out=out)
+        terms = weights[:, None] * (dots[:, :m, 0] + dots[:, :m, 1])
+    return [functools.reduce(operator.add, frame, 0.0) for frame in terms.T.tolist()]
+
+
 def lyapunov_l0(delta_grids: Mapping[PipeId, EdgeGrid], graph: NetworkGraph) -> float:
     """Network error functional: the `quadrature` of (delta_plus, delta_minus)."""
     layout = Layout.of(delta_grids, graph)
@@ -104,12 +121,17 @@ def nodal_energy_residual(delta_in: Mapping[PipeId, float], delta_out: Mapping[P
 
     Normalized by the in-sum; defined as 0 when the in-sum vanishes.
     """
-    squares = node_table(diameters).squares
-    in_sum = out_sum = 0.0  # left folds, as in the node maps
-    for e in delta_in:
-        in_sum += squares[e] * delta_in[e] ** 2
-    for e in delta_out:
-        out_sum += squares[e] * delta_out[e] ** 2
+    table, mismatch = node_table(diameters), "nodal_energy_residual: key mismatch"
+    if len(delta_in) != len(table) or len(delta_out) != len(table):
+        raise ValidationError(mismatch)
+    squares, in_sum, out_sum = table.squares, 0.0, 0.0  # left folds, as in the node maps
+    try:  # after the length compares, the folds' lookups find a key mismatch
+        for e in delta_in:
+            in_sum += squares[e] * delta_in[e] ** 2
+        for e in delta_out:
+            out_sum += squares[e] * delta_out[e] ** 2
+    except KeyError:
+        raise ValidationError(mismatch) from None
     if in_sum == 0.0:
         return 0.0 if out_sum == 0.0 else math.inf
     return abs(out_sum - mu * mu * in_sum) / in_sum
@@ -160,13 +182,16 @@ class RegularityTracker:
         self.dt = dt
         self.m_tilde = 0.0
         self.b_tilde = 0.0
+        self.finite = True  # False after a step that has a cell of either state not finite
         self._prev: Optional[np.ndarray] = None
 
     def observe(self, s_diff: np.ndarray, r_diff: np.ndarray) -> None:
         """Take S+ - S- and R+ - R- of one step, each packed in layout order;
         `s_diff` is kept until the next step, so it must not change."""
-        top = np.maximum.reduce  # `.max()` without its Python-level wrapper
-        self.m_tilde = max(self.m_tilde, float(top(np.abs(s_diff))), float(top(np.abs(r_diff))))
+        top = np.maximum.reduce  # `.max()` without its Python-level wrapper; NaN propagates
+        s_max, r_max = float(top(np.abs(s_diff))), float(top(np.abs(r_diff)))
+        self.finite = math.isfinite(s_max) and math.isfinite(r_max)
+        self.m_tilde = max(self.m_tilde, s_max, r_max)
         if self._prev is not None:
             # max(x)/dt == max(x/dt): one division per step
             self.b_tilde = max(self.b_tilde, float(top(np.abs(s_diff - self._prev))) / self.dt)

@@ -96,7 +96,12 @@ class NodeDiameters(dict):
 
     @functools.cached_property
     def squares(self) -> Mapping[PipeId, float]:
-        return MappingProxyType({e: d ** 2 for e, d in self.items()})
+        try:  # `**`, not `d * d`, which rounds some d differently
+            return MappingProxyType({e: d ** 2 for e, d in self.items()})
+        except OverflowError:  # the square rule of `PipeSpec`
+            e = next(e for e, d in self.items() if not math.isfinite(d * d))
+            raise ValidationError(f"pipe {e!r}: diameter must be positive, with a square that "
+                                  "is finite and nonzero") from None
 
     @functools.cached_property
     def omega(self) -> float:

@@ -62,9 +62,8 @@ class NodalTrace:
     delta_out: Dict[PipeId, float]
 
 
-def diff_junction_outflow(
-    delta_in: Mapping[PipeId, float], diameters: Mapping[PipeId, float], mu: float
-) -> Dict[PipeId, float]:
+def diff_junction_outflow(delta_in: Mapping[PipeId, float], diameters: Mapping[PipeId, float],
+                          mu: float) -> Dict[PipeId, float]:
     """Error-invariant node map at an interior node.
 
     delta_out_e = mu * (omega_v * sum_g D_g^2 delta_in_g - delta_in_e), which
@@ -88,9 +87,8 @@ def diff_junction_outflow(
     return out
 
 
-def error_outflow(
-    delta_in: Mapping[PipeId, float], diameters: Mapping[PipeId, float], mu: float
-) -> Dict[PipeId, float]:
+def error_outflow(delta_in: Mapping[PipeId, float], diameters: Mapping[PipeId, float],
+                  mu: float) -> Dict[PipeId, float]:
     """Error-system node map at one node: mu * delta_in at a degree-1 node,
     whose gain the caller has checked, and `diff_junction_outflow` at an
     interior node."""
@@ -100,14 +98,11 @@ def error_outflow(
     return diff_junction_outflow(delta_in, diameters, mu)
 
 
-def observer_node_update(
-    mu: float,
-    diameters: Mapping[PipeId, float],
-    r_in: Mapping[PipeId, float],
-    s_in: Optional[Mapping[PipeId, float]] = None,
-    s_out: Optional[Mapping[PipeId, float]] = None,
-    u: Optional[float] = None,
-) -> Dict[PipeId, float]:
+def observer_node_update(mu: float, diameters: Mapping[PipeId, float],
+                         r_in: Mapping[PipeId, float],
+                         s_in: Optional[Mapping[PipeId, float]] = None,
+                         s_out: Optional[Mapping[PipeId, float]] = None,
+                         u: Optional[float] = None) -> Dict[PipeId, float]:
     """Outgoing observer invariants at one node.
 
     Interior (degree >= 2, needs s_in and s_out):
@@ -184,12 +179,8 @@ def step_coupled(
     return out, traces
 
 
-def direct_diff_step(
-    d_state: SimState,
-    graph: NetworkGraph,
-    mu: Mapping[NodeId, float],
-    s_new: Optional[SimState] = None,
-) -> SimState:
+def direct_diff_step(d_state: SimState, graph: NetworkGraph, mu: Mapping[NodeId, float],
+                     s_new: Optional[SimState] = None) -> SimState:
     """Advance the error system delta = R - S directly by one tick.
 
     Node maps: `error_outflow` at every node, its gain checked first.  The

@@ -9,13 +9,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .diagnostics import (LyapunovSeries, RegularityTracker, SnapshotFrame, nodal_energy_residual,
-                          quadrature, snapshot_file_name)
+from .diagnostics import (LyapunovSeries, RegularityTracker, SnapshotFrame, block_quadratures,
+                          nodal_energy_residual, quadrature, snapshot_file_name)
 from .errors import DomainError, NumericalError, ValidationError
 from .fileio import BAR, ScenarioSpec, make_boundary_control
 from .network import NetworkGraph, NodeId, PipeId
 from .observer import CoupledState, ObserverConfig, step_coupled
 from .solver import Layout, SimState, build_grids, step_system
+
+K = 4  # steps per L0/L1 block; 8 was faster still but raised the peak resident set
 
 
 @dataclass
@@ -150,29 +152,24 @@ def _blow_up(state: SimState, asm: Assembled) -> NumericalError:
                           f"is not finite at t={state.t}")
 
 
-def _l0_failure(cs: CoupledState, delta: Sequence[Tuple[np.ndarray, np.ndarray]],
-                layout: Layout) -> NumericalError:
-    """The error for an L0 that is not finite: the system and pipe of the first
-    cell that is not, truth first, else the pipe at whose term L0's running
-    sum over the per-pipe `delta` views stopped being finite."""
-    for name, state in (("truth", cs.s_state), ("observer", cs.r_state)):
+def _l0_failure(cs: Optional[CoupledState], delta: Sequence[Tuple[np.ndarray, np.ndarray]],
+                layout: Layout, t: float) -> NumericalError:
+    """The error for an L0 not finite at time t: the system and pipe of `cs`'s
+    first cell that is not (truth first; None: all finite), else the pipe at
+    whose term L0's running sum over the per-pipe `delta` stopped being finite."""
+    for name, state in (("truth", cs.s_state), ("observer", cs.r_state)) if cs else ():
         pid = _bad_pipe(layout, *state.packed)
         if pid is not None:
             return NumericalError(f"simulation blew up: pipe {pid} of the {name} system is "
-                                  f"not finite at t={cs.t}")
+                                  f"not finite at t={t}")
     i = next(i for i in range(len(delta))
              if not math.isfinite(quadrature(delta[:i + 1], layout.weights[:i + 1])))
-    return NumericalError(f"L0 overflowed at t={cs.t} in the term of pipe {layout.pipes[i]}, "
+    return NumericalError(f"L0 overflowed at t={t} in the term of pipe {layout.pipes[i]}, "
                           "with every cell of both systems finite")
 
 
-def run_observer_pair(
-    graph: NetworkGraph,
-    scenario: ScenarioSpec,
-    record_l1: bool = True,
-    residual_stride: int = 0,
-    snapshot_times: Sequence[float] = (),
-) -> RunResult:
+def run_observer_pair(graph: NetworkGraph, scenario: ScenarioSpec, record_l1: bool = True,
+                      residual_stride: int = 0, snapshot_times: Sequence[float] = ()) -> RunResult:
     """Advance the coupled truth/observer pair over the scenario horizon.
 
     Records the Lyapunov series every step, the per-node residual of the
@@ -187,50 +184,67 @@ def run_observer_pair(
     spare = CoupledState(cs.s_state.empty_like(), cs.r_state.empty_like(), cs.config)
     n = asm.n_steps
     snap_steps = _snapshot_steps(snapshot_times, asm.dt, n)
-    times = np.empty(n + 1)
-    l0 = np.empty(n + 1)
+    times, l0 = np.empty(n + 1), np.empty(n + 1)
     l1 = np.empty(n) if record_l1 else None
     residuals: List[Tuple[float, NodeId, float]] = []
     snapshots: List[SnapshotFrame] = []
     net, dt, layout = asm.graph, asm.dt, asm.layout
     tracker = RegularityTracker(dt)
-    # delta = R - S of this step and the last, and L1's quotient, each in a
-    # pair made once with its per-pipe views; the two deltas swap every step.
-    delta, prev, (q, q_views) = [(pair, layout.views(pair)) for pair in
-                                 (np.empty_like(asm.s_state.packed) for _ in range(3))]
+    # L0 and L1 are recorded in blocks of up to K steps: rows 1..m of `ring` hold
+    # the open block's deltas R - S, row 0 the delta before them.  Each pipe's
+    # views of rows 1..K (L0) and 0..K-1 (L1, once they hold quotients) are made once.
+    ring = np.zeros((K + 1, *asm.s_state.packed.shape))
+    l0_blocks = [ring[1:, :, cells] for cells in layout.spans]
+    l1_blocks = [ring[:K, :, cells] for cells in layout.spans]
+    weights, dots = np.array(layout.weights), np.empty((len(layout.spans), K, 2))
+
+    def flush(k: int, m: int, now: Optional[CoupledState]) -> None:
+        """Record the block of m steps that ends at step k, whose coupled
+        state is `now`; with `now` None (a later step failed), its L0 only."""
+        k0 = k - m + 1
+        l0[k0:k + 1] = vals = block_quadratures(l0_blocks, weights, dots, m)
+        j = next((j for j, v in enumerate(vals) if not math.isfinite(v)), None)
+        if j is not None:  # a step before the block's last had finite cells, or it would end there
+            raise _l0_failure(now if j == m - 1 else None, layout.views(ring[j + 1]), layout,
+                              times[k0 + j]) from None
+        if now is not None and l1 is not None:
+            first = int(k0 == 0)  # the run's first step has no quotient
+            for j in range(first, m):  # row j becomes the quotient ending at row j + 1
+                np.subtract(ring[j + 1], ring[j], ring[j])
+            np.divide(ring[first:m], dt, ring[first:m])
+            l1[k0 - 1 + first:k] = block_quadratures(l1_blocks, weights, dots, m)[first:]
+            ring[0] = ring[m]
+
+    m = 0  # steps in the open block
     for k in range(n + 1):
         if k > 0:
-            collect = residual_stride > 0 and (k - 1) % residual_stride == 0
-            nxt, traces = step_coupled(cs, net, collect_nodal=collect, out=spare)
-            cs, spare = nxt, cs
-            t = (k - 1) * dt  # once per step, for every row of the step
-            for v, tr in (traces or {}).items():
-                res = nodal_energy_residual(tr.delta_in, tr.delta_out, tr.mu, net.diameters_at(v))
-                residuals.append((t, v, res))
-        s, r, (d, d_views) = cs.s_state.packed, cs.r_state.packed, delta
-        np.subtract(r, s, d)
+            try:
+                collect = residual_stride > 0 and (k - 1) % residual_stride == 0
+                nxt, traces = step_coupled(cs, net, collect_nodal=collect, out=spare)
+                cs, spare, t = nxt, cs, (k - 1) * dt  # t once per step, for every row
+                for v, tr in (traces or {}).items():
+                    residuals.append((t, v, nodal_energy_residual(
+                        tr.delta_in, tr.delta_out, tr.mu, net.diameters_at(v))))
+            except Exception:
+                flush(k - 1, m, None)  # an L0 error of an earlier step comes first
+                raise
+        s, r = cs.s_state.packed, cs.r_state.packed
+        m += 1
+        np.subtract(r, s, ring[m])
         times[k] = cs.t
-        l0[k] = quadrature(d_views, layout.weights)
-        if not math.isfinite(l0[k]):
-            raise _l0_failure(cs, d_views, layout)
-        if l1 is not None and k > 0:
-            np.subtract(d, prev[0], q)
-            np.divide(q, dt, q)
-            l1[k - 1] = quadrature(q_views, layout.weights)
         tracker.observe(s[0] - s[1], r[0] - r[1])
         if k in snap_steps:
-            snapshots.append(SnapshotFrame(cs.t, layout, *d.copy()))  # d is written again
-        delta, prev = prev, delta
+            snapshots.append(SnapshotFrame(cs.t, layout, *ring[m].copy()))  # rows are reused
+        if m == K or k == n or not tracker.finite:
+            flush(k, m, cs)
+            m = 0
 
     return RunResult(LyapunovSeries(times=times, l0=l0, l1=l1), residuals, tracker.m_tilde,
                      tracker.b_tilde, snapshots, asm.graph)
 
 
-def run_truth(
-    graph: NetworkGraph,
-    scenario: ScenarioSpec,
-    snapshot_times: Sequence[float] = (),
-) -> Tuple[SnapshotFrame, List[SnapshotFrame]]:
+def run_truth(graph: NetworkGraph, scenario: ScenarioSpec, snapshot_times: Sequence[float] = ()
+              ) -> Tuple[SnapshotFrame, List[SnapshotFrame]]:
     """Advance the truth system alone; returns the final frame and the snapshots."""
     asm = assemble(graph, scenario)
     # Each step writes into `spare`, made once, and swaps it with `state`, a

@@ -3,23 +3,24 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gasnetsim.diagnostics import (
     LyapunovSeries,
     RegularityTracker,
     SnapshotFrame,
+    block_quadratures,
     fit_decay_rate,
     lyapunov_l0,
     lyapunov_l1,
     nodal_energy_residual,
     quadrature,
 )
-from gasnetsim.errors import ValidationError
+from gasnetsim.errors import NumericalError, ValidationError
 from gasnetsim.fileio import InitialCondition, ScenarioSpec
 from gasnetsim.network import NetworkGraph, PipeSpec
 from gasnetsim.observer import CoupledState, difference_state, step_coupled
-from gasnetsim.run import assemble, run_observer_pair
+from gasnetsim.run import K, assemble, run_observer_pair
 from gasnetsim.solver import EdgeGrid, Layout, SimState, build_grids
 
 
@@ -297,6 +298,36 @@ def test_quadrature_equals_its_np_dot_form(cells, offset, share, seed):
         assert struct.pack("<d", got) == struct.pack("<d", want), i
 
 
+@given(
+    cells=st.lists(st.integers(1, 300), min_size=1, max_size=6),
+    offset=st.integers(0, 7),
+    m=st.integers(1, K),
+    share=st.sampled_from([0.0, 0.01, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_quadratures_equal_the_np_dot_form(cells, offset, m, share, seed):
+    """Bit for bit, frame by frame, on a block laid out as the run loop lays
+    it out: each pipe's (frames, 2, cells) view of K + 1 rows of (2, cells)
+    pairs, here starting `offset` elements into a buffer.  The helper is
+    called outside any `np.errstate`, so a floating-point flag it let out
+    would fail the test."""
+    rng = np.random.default_rng(seed)
+    ring = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), (K + 1, 2, offset + sum(cells)))
+    ring = ring[:, :, offset:]
+    hit = rng.random(ring.shape) < share
+    ring[hit] = rng.choice(QUADRATURE_SPECIAL, hit.sum())
+    spans = [slice(stop - n, stop) for n, stop in zip(cells, np.cumsum(cells).tolist())]
+    weights = 10.0 ** rng.uniform(-6, 6, len(cells))
+    dots = np.full((len(cells), K, 2), np.nan)
+    got = block_quadratures([ring[1:, :, cells] for cells in spans], weights, dots, m)
+    assert len(got) == m
+    for j, value in enumerate(got):
+        views = [(ring[j + 1, 0, cells], ring[j + 1, 1, cells]) for cells in spans]
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _dot_quadrature(views, weights.tolist())
+        assert struct.pack("<d", value) == struct.pack("<d", want), j
+
+
 DT = 0.375
 
 
@@ -326,7 +357,7 @@ def observer_runs(draw):
                   st.integers(1, 3)),
     )
     pipe_ids = st.sampled_from([p.id for p in pipes])
-    n_steps = draw(st.integers(1, 6))
+    n_steps = draw(st.integers(1, 3 * K + 2))  # blocks of K steps: full, cut and single
     scenario = ScenarioSpec(
         theta=draw(st.sampled_from([0.0, 0.02])),
         t_end=DT * n_steps,
@@ -337,13 +368,29 @@ def observer_runs(draw):
         ic_r=draw(st.dictionaries(pipe_ids, ic)),
     )
     snap_steps = draw(st.sets(st.integers(0, n_steps)))
-    return graph, scenario, snap_steps, draw(st.integers(0, 3))
+    return graph, scenario, snap_steps, draw(st.integers(0, 3)), draw(st.booleans())
+
+
+def block_edge_run(n_steps, record_l1):
+    """A 3-pipe star with mismatched initial states over `n_steps` steps,
+    with a snapshot at each step that begins or ends a block of K steps."""
+    graph = NetworkGraph([PipeSpec("p0", "n0", "n1", 340.0, 0.5), PipeSpec("p1", "n1", "n2",
+                          680.0, 0.6), PipeSpec("p2", "n3", "n1", 510.0, 0.8)])
+    scenario = ScenarioSpec(theta=0.02, t_end=DT * n_steps, dt=DT, mu_uniform=0.5,
+                            ic_s={"p1": InitialCondition("half_step", 60.0, 2.0)},
+                            ic_r={"p2": InitialCondition("sinusoidal", 60.0, 1.0, 2)})
+    edges = {k for k in range(n_steps + 1) if k % K in (0, K - 1) or k == n_steps}
+    return graph, scenario, edges, 1, record_l1
 
 
 @given(observer_runs())
+@example(block_edge_run(3 * K - 1, True))  # n + 1 frames, a multiple of K
+@example(block_edge_run(3 * K, True))  # one frame more: the last block has one step
+@example(block_edge_run(3 * K - 1, False))
+@example(block_edge_run(3 * K, False))
 def test_observer_record_equals_per_pipe_references(run):
-    graph, scenario, snap_steps, stride = run
-    result = run_observer_pair(graph, scenario, record_l1=True, residual_stride=stride,
+    graph, scenario, snap_steps, stride, record_l1 = run
+    result = run_observer_pair(graph, scenario, record_l1=record_l1, residual_stride=stride,
                                snapshot_times=[DT * k for k in snap_steps])
     asm = assemble(graph, scenario)
     cs = CoupledState(asm.s_state, asm.r_state, asm.config)
@@ -357,9 +404,11 @@ def test_observer_record_equals_per_pipe_references(run):
     l0 = [lyapunov_l0(d.grids, asm.graph) for d in deltas]
     assert l0 == [_per_pipe_l0(d.grids, asm.graph) for d in deltas]
     assert result.series.l0.tolist() == l0
-    assert result.series.l1.tolist() == [
-        _per_pipe_l1(d0.grids, d1.grids, asm.graph, asm.dt) for d0, d1 in zip(deltas, deltas[1:])
-    ]
+    if record_l1:
+        assert result.series.l1.tolist() == [_per_pipe_l1(d0.grids, d1.grids, asm.graph, asm.dt)
+                                             for d0, d1 in zip(deltas, deltas[1:])]
+    else:
+        assert result.series.l1 is None
     assert (result.m_tilde, result.b_tilde) == _per_pipe_regularity(s_frames, r_frames)
     assert len(result.snapshots) == len(snap_steps)
     for frame, k in zip(result.snapshots, sorted(snap_steps)):
@@ -399,6 +448,55 @@ def test_recorded_frames_and_tracker_inputs_keep_their_values(five_pipe, monkeyp
     assert any(frame.plus.any() for frame in result.snapshots)
     for array, copy in handed:
         assert array.tobytes() == copy.tobytes()
+
+
+# The run loop records L0 in blocks of K steps; these errors are the ones it
+# raised when it checked L0 after every step.
+@pytest.mark.parametrize("system", ["truth", "observer"])
+def test_a_nan_inside_a_block_names_its_step_system_and_pipe(five_pipe, monkeypatch, system):
+    import gasnetsim.run as run_mod
+
+    real = run_mod.step_coupled
+
+    def step_then_spoil(cs, graph, **kwargs):
+        cs, traces = real(cs, graph, **kwargs)
+        if cs.s_state.step_index == K + 2:
+            state = cs.s_state if system == "truth" else cs.r_state
+            state.grids["p3"].r_minus[1] = math.nan
+        return cs, traces
+
+    monkeypatch.setattr(run_mod, "step_coupled", step_then_spoil)
+    scenario = ScenarioSpec(theta=0.0137, t_end=10.0, dt=0.5, mu_uniform=0.5,
+                            ic_s={"p2": InitialCondition("half_step", 60.0, 2.0)})
+    with pytest.raises(NumericalError) as err:
+        run_observer_pair(five_pipe, scenario, residual_stride=1)
+    assert str(err.value) == (f"simulation blew up: pipe p3 of the {system} system is not "
+                              f"finite at t={(K + 2) * 0.5}")
+
+
+@pytest.mark.parametrize("fail_at", [None, 2])
+def test_an_l0_overflow_on_finite_cells_names_its_step_and_pipe(monkeypatch, fail_at):
+    """One pipe of D = 1e153 m: its L0 weight is finite and its cells stay
+    finite, but L0 overflows from the first step on.  A later step that
+    fails (`fail_at`) does not hide the error of the earlier one."""
+    import gasnetsim.run as run_mod
+
+    real = run_mod.step_coupled
+
+    def step_or_fail(cs, graph, **kwargs):
+        if cs.s_state.step_index + 1 == fail_at:
+            raise RuntimeError("a later step failed")
+        return real(cs, graph, **kwargs)
+
+    monkeypatch.setattr(run_mod, "step_coupled", step_or_fail)
+    graph = NetworkGraph([PipeSpec("a", "n0", "n1", 340.0, 1e153)])
+    scenario = ScenarioSpec(theta=0.02, t_end=6.0, dt=0.5, mu_uniform=0.5,
+                            ic_s={"a": InitialCondition("half_step", 60.0, 2.0)},
+                            ic_r={"a": InitialCondition("half_step", 60.0, 1.0)})
+    with pytest.raises(NumericalError) as err:
+        run_observer_pair(graph, scenario, residual_stride=1)
+    assert str(err.value) == ("L0 overflowed at t=0.0 in the term of pipe a, with every cell "
+                              "of both systems finite")
 
 
 def test_snapshot_frame_from_state(single_pipe):

@@ -34,14 +34,24 @@ def test_one_identity_cell_writes_its_committed_fingerprints(tmp_path):
 
 
 def test_failing_cells_exit_2_or_3_with_one_error_line_and_no_output(tmp_path):
-    """The cells on FAILING's inputs reach the refusals and the blow-up they
-    are there for, so the matrix compares error exits and messages too."""
+    """The cells on FAILING's inputs reach the refusals and the blow-ups they
+    are there for, so the matrix compares error exits and messages too.
+    `simulate` computes no L0, so it runs the L0 overflow through."""
     identity = _identity()
     failing = [c for c in identity.cells() if c[0] in identity.FAILING]
     assert len(failing) == len(identity.FAILING) * len(identity.COMMANDS)
     for cell in failing:
         record = identity.run_cell(cell, tmp_path)
-        code, prefix = (3, "numerical error: ") if cell[0] == "huge-diameter" else (2, "error: ")
+        out = tmp_path / "out" / identity.cell_name(cell)
+        if cell[0] == "l0-overflow" and cell[3] == "simulate":
+            assert record == {"exit": 0, "stdout": record["stdout"], "stderr": []}, cell
+            assert (out / "state.csv").exists()
+            continue
+        code, prefix = (3, "numerical error: ") if cell[0] in ("huge-diameter", "l0-overflow") \
+            else (2, "error: ")
         assert record["exit"] == code and record["stdout"] == [], cell
         assert len(record["stderr"]) == 1 and record["stderr"][0].startswith(prefix), cell
-    assert not (tmp_path / "out").exists()
+        assert not out.exists(), cell
+    l0_cell = identity.run_cell(("l0-overflow", "mixed", "exact", "observe"), tmp_path)
+    assert l0_cell["stderr"] == ["numerical error: L0 overflowed at t=0.0 in the term of pipe a, "
+                                 "with every cell of both systems finite"]

@@ -115,7 +115,8 @@ def outcome(call):
 
 # Node values, diameters, boundary gain, and the outcome that `junction_outflow`
 # gave while it compared key sets before any other check: the exception's
-# type and text, or the repr of the map it returned.
+# type and text, or the repr of the map it returned.  A diameter whose square
+# overflows is refused by the square rule of `PipeSpec`.
 JUNCTION_OUTCOMES = {
     "deg1-other-key": (
         {"a": 1.0}, {"b": 0.5}, (0.5, 2.0), (ValidationError, DIFFER)),
@@ -184,7 +185,8 @@ JUNCTION_OUTCOMES = {
         {"a": 1.0, "b": 2.0}, {"a": NAN, "c": 0.6}, None, (ValidationError, DIFFER)),
     "deg2-square-overflows": (
         {"a": 1.0, "b": 2.0}, {"a": 1e+200, "b": 0.6}, None,
-        (OverflowError, "(34, 'Numerical result out of range')")),
+        (ValidationError, "pipe 'a': diameter must be positive, with a square that is finite "
+                          "and nonzero")),
     "deg2-square-overflows-other-key": (
         {"a": 1.0, "b": 2.0}, {"a": 1e+200, "c": 0.6}, None, (ValidationError, DIFFER)),
     "deg2-negative-square-overflows": (
